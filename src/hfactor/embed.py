@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError
-from .host import HostGraph
+from .host import HostGraph, mask_bits
 from .pattern import PatternGraph
 
 Copy = tuple[int, ...]
@@ -78,17 +78,13 @@ def _search_order(v: int, edges, pins) -> list[int]:
     return order
 
 
-def _count_or_collect(
-    pattern: PatternGraph,
-    g: HostGraph,
-    spec: ConstraintSpec,
-    collect: bool,
-    stop_at_first: bool = False,
-):
+def _count_or_collect(pattern: PatternGraph, g: HostGraph, spec: ConstraintSpec, collect: bool):
     """Backtracking core shared by the counting and enumeration entry points.
 
     Only vertices touched by constrained edges (or pinned) are embedded
     explicitly; the remaining free vertices contribute a falling factorial.
+    Collected partial copies are tuples indexed by pattern vertex, with None
+    at the free vertices.
     """
     _check_arity(pattern, g)
     if g.n < pattern.v:
@@ -113,34 +109,44 @@ def _count_or_collect(
         pos[x] = i
     for e in spec.constrained_edges:
         edge_ready[max(pos[x] for x in e) + 1].append(e)
+    # the placed pattern vertices of the first ready edge at each depth, whose
+    # images pin down the candidates (None: no ready edge, try every vertex)
+    anchors = [[y for y in ready[0] if y != x] if ready else None for x, ready in zip(order, edge_ready[1:])]
 
     edge_set = g.edge_set
-    image = dict(pins)
+    incidence = g.incidence
+    image = [None] * pattern.v
+    for a, x in pins.items():
+        image[a] = x
     used = set(pins.values())
     count = 0
     results = [] if collect else None
 
-    def extend(i: int) -> bool:
+    def candidates(i: int):
+        if anchors[i] is None:
+            return range(g.n)
+        placed = {image[y] for y in anchors[i]}
+        # the missing vertex of each host edge through the placed images;
+        # edges are sorted tuples, so these come out in increasing order
+        return [c for h in incidence[image[anchors[i][0]]] if placed.issubset(h) for c in h if c not in placed]
+
+    def extend(i: int) -> None:
         nonlocal count
         if i == len(order):
             count += 1
             if collect:
-                results.append(dict(image))
-            return stop_at_first
+                results.append(tuple(image))
+            return
         x = order[i]
-        for c in range(g.n):
+        for c in candidates(i):
             if c in used:
                 continue
             image[x] = c
             if all(frozenset(image[y] for y in e) in edge_set for e in edge_ready[i + 1]):
                 used.add(c)
-                if extend(i + 1):
-                    used.discard(c)
-                    del image[x]
-                    return True
+                extend(i + 1)
                 used.discard(c)
-        image.pop(x, None)
-        return False
+        image[x] = None
 
     # fully pinned edges are rejected by ConstraintSpec, so edge_ready[0] is empty
     extend(0)
@@ -154,26 +160,20 @@ def constrained_count(pattern: PatternGraph, g: HostGraph, spec: ConstraintSpec)
     return count * multiplier
 
 
-def constrained_exists(pattern: PatternGraph, g: HostGraph, spec: ConstraintSpec) -> bool:
-    count, multiplier, _ = _count_or_collect(pattern, g, spec, collect=False, stop_at_first=True)
-    return count > 0 and multiplier > 0
-
-
 def enumerate_copies(pattern: PatternGraph, g: HostGraph) -> list[Copy]:
     """All labeled copies, sorted lexicographically by image tuple."""
     _, _, partials = _count_or_collect(pattern, g, full_constraint(pattern), collect=True)
+    # patterns with isolated vertices: extend over unused host vertices
+    missing = [x for x in range(pattern.v) if not any(x in e for e in pattern.edges)]
+    if not missing:
+        return sorted(partials)
     copies = []
     for img in partials:
-        # patterns with isolated vertices: extend over unused host vertices
-        fixed = set(img.values())
-        missing = [x for x in range(pattern.v) if x not in img]
-        if not missing:
-            copies.append(tuple(img[x] for x in range(pattern.v)))
-            continue
-        for extra in itertools.permutations([c for c in range(g.n) if c not in fixed], len(missing)):
-            whole = dict(img)
-            whole.update(zip(missing, extra))
-            copies.append(tuple(whole[x] for x in range(pattern.v)))
+        for extra in itertools.permutations([c for c in range(g.n) if c not in img], len(missing)):
+            whole = list(img)
+            for x, c in zip(missing, extra):
+                whole[x] = c
+            copies.append(tuple(whole))
     copies.sort()
     return copies
 
@@ -189,19 +189,20 @@ def role_images(pattern: PatternGraph, g: HostGraph) -> list[set[int]]:
     realized: list[set[int]] = [set() for _ in range(pattern.v)]
     if count == 0 or mult == 0:
         return realized
-    contained = [0] * g.n
-    for img in partials:
-        for r, x in img.items():
-            realized[r].add(x)
-        for x in img.values():
-            contained[x] += 1
-    touched = set()
-    for e in pattern.edges:
-        touched.update(e)
-    free_roles = [r for r in range(pattern.v) if r not in touched]
+    free_roles = []
+    for r, column in enumerate(zip(*partials)):
+        if column[0] is None:
+            free_roles.append(r)
+        else:
+            realized[r] = set(column)
     if free_roles:
         # an isolated pattern vertex can take any host vertex avoided by some
         # partial embedding (room for the rest is guaranteed by mult > 0)
+        contained = [0] * g.n
+        for img in partials:
+            for x in img:
+                if x is not None:
+                    contained[x] += 1
         avoided = {x for x in range(g.n) if contained[x] < len(partials)}
         for r in free_roles:
             realized[r] = set(avoided)
@@ -230,19 +231,12 @@ def copy_degrees(pattern: PatternGraph, g: HostGraph) -> list[int]:
         return deg
     if pattern.is_complete_graph() and pattern.v == 3:
         adj = g.adjacency
-        return [3 * sum((adj[x] & adj[y]).bit_count() for y in _bits(adj[x])) for x in range(g.n)]
+        return [3 * sum((adj[x] & adj[y]).bit_count() for y in mask_bits(adj[x])) for x in range(g.n)]
     degs = [0] * g.n
     for copy in enumerate_copies(pattern, g):
         for x in copy:
             degs[x] += 1
     return degs
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def expected_copy_degree(pattern: PatternGraph, n: int, p: float) -> float:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InputError, InvariantError, NoFactorError
 from .factor import FactorCounter
-from .host import HostGraph
+from .host import HostGraph, mask_bits
 from .pattern import PatternGraph
 
 LOG_TOLERANCE = 1e-9
@@ -111,7 +111,7 @@ def _vertex_entropies(pattern: PatternGraph, counter: FactorCounter) -> list[flo
     for bmask, emb in counter.block_items():
         w = counter.count(full & ~bmask)
         if w > 0:
-            for x in _mask_bits(bmask):
+            for x in mask_bits(bmask):
                 per_vertex[x].append((w, emb))
     out = []
     for x in range(n):
@@ -121,13 +121,6 @@ def _vertex_entropies(pattern: PatternGraph, counter: FactorCounter) -> list[flo
             h -= emb * q * math.log(q)
         out.append(h)
     return out
-
-
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def shearer_check(pattern: PatternGraph, g: HostGraph) -> dict:

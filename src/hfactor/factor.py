@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InvariantError, NoFactorError
-from .host import HostGraph, complete_host
+from .host import HostGraph, complete_host, mask_bits
 from .pattern import PatternGraph, automorphism_count
 
 # bitmask DP state space grows as 2^n; caps keep worst cases to a few seconds
@@ -214,7 +214,7 @@ class FactorCounter:
         """Labeled copies through each vertex, summed from block multiplicities."""
         degs = [0] * self.host.n
         for bmask, emb in self._block_emb.items():
-            for x in _mask_bits(bmask):
+            for x in mask_bits(bmask):
                 degs[x] += emb
         return degs
 
@@ -241,15 +241,8 @@ class FactorCounter:
         return best
 
 
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _mask_vertices(mask: int) -> tuple[int, ...]:
-    return tuple(_mask_bits(mask))
+    return tuple(mask_bits(mask))
 
 
 def _check_countable(pattern: PatternGraph, n: int, cap: int | None) -> None:

@@ -118,6 +118,14 @@ def total_edges(k: int, n: int) -> int:
     return math.comb(n, k)
 
 
+def mask_bits(mask: int):
+    """The set bits of a vertex bitmask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def unrank_edge(index: int, n: int, k: int) -> tuple[int, ...]:
     """The index-th k-subset of range(n) in lexicographic order."""
     combo = []

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .embed import role_images
 from .errors import InputError
 from .factor import counting_cap, has_factor
 from .host import HostGraph, sample_gnp
@@ -71,38 +72,23 @@ def formula_threshold(pattern: PatternGraph, n: int) -> dict:
 
 def coverage_check(pattern: PatternGraph, g: HostGraph) -> bool:
     """True iff every host vertex lies in at least one labeled copy."""
-    from .embed import role_images
-
-    covered = set()
-    for s in role_images(pattern, g):
-        covered |= s
-    return len(covered) == g.n
+    return _covers(role_images(pattern, g), g.n)
 
 
 def role_coverage_check(pattern: PatternGraph, g: HostGraph) -> bool:
     """Coverage plus every pattern role realized by at least n/v host vertices."""
-    from .embed import role_images
-
     if g.n % pattern.v:
         raise InputError(f"n={g.n} is not divisible by pattern size {pattern.v}")
-    quota = g.n // pattern.v
-    realized = role_images(pattern, g)
-    covered = set()
-    for s in realized:
-        covered |= s
-    if len(covered) < g.n:
-        return False
-    return all(len(s) >= quota for s in realized)
+    return _roles_cover(role_images(pattern, g), g.n)
 
 
-def _holds(pattern: PatternGraph, g: HostGraph, property_name: str) -> bool:
-    if property_name == "factor":
-        return has_factor(pattern, g)
-    if property_name == "coverage":
-        return coverage_check(pattern, g)
-    if property_name == "role":
-        return role_coverage_check(pattern, g)
-    raise InputError(f"unknown property {property_name!r}; choose from {PROPERTIES}")
+def _covers(realized: list[set[int]], n: int) -> bool:
+    return len(set().union(*realized)) == n
+
+
+def _roles_cover(realized: list[set[int]], n: int) -> bool:
+    quota = n // len(realized)
+    return _covers(realized, n) and all(len(s) >= quota for s in realized)
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -140,6 +126,8 @@ def threshold_scan(
         raise InputError("bisection needs at least 12 rounds")
     if not 0.0 < target < 1.0:
         raise InputError("target must be strictly between 0 and 1")
+    if property_name not in PROPERTIES:
+        raise InputError(f"unknown property {property_name!r}; choose from {PROPERTIES}")
     estimates = []
     for n_index, n in enumerate(n_list):
         if property_name in ("factor", "role") and n % pattern.v:
@@ -190,22 +178,22 @@ def threshold_scan(
 
 
 def _probe_worker(payload) -> tuple[bool, bool]:
+    """(property holds, chain factor => role coverage => coverage holds) on one host.
+
+    has_factor and role_images run at most once each.  Role coverage implies
+    coverage by construction, so only a host with a factor can break the
+    chain.  Hosts beyond the exact-counting caps skip the chain (factor
+    existence is not computable there).
+    """
     pattern, n, p, property_name, check_chain, seed = payload
     g = sample_gnp(pattern.k, n, p, seed)
-    ok = _holds(pattern, g, property_name)
-    chain_ok = _chain_consistent(pattern, g) if check_chain else True
-    return ok, chain_ok
-
-
-def _chain_consistent(pattern: PatternGraph, g: HostGraph) -> bool:
-    """factor => role coverage => coverage on one host.
-
-    Role coverage implies coverage by construction, so only a host with a
-    factor can break the chain.  Hosts beyond the exact-counting caps are
-    skipped (factor existence is not computable there).
-    """
-    if g.n % pattern.v or g.n > counting_cap(pattern.v):
-        return True
-    if not has_factor(pattern, g):
-        return True
-    return role_coverage_check(pattern, g) and coverage_check(pattern, g)
+    chain = check_chain and n % pattern.v == 0 and n <= counting_cap(pattern.v)
+    factor = (property_name == "factor" or chain) and has_factor(pattern, g)
+    realized = role_images(pattern, g) if property_name != "factor" or (chain and factor) else None
+    if property_name == "factor":
+        ok = factor
+    elif property_name == "coverage":
+        ok = _covers(realized, n)
+    else:
+        ok = _roles_cover(realized, n)
+    return ok, not (chain and factor) or _roles_cover(realized, n)

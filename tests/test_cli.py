@@ -217,3 +217,17 @@ def test_byte_identical_json(k3_file, capsys):
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
     assert first == second
+
+
+def test_scan_workers_byte_identical(k2_file, capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(
+            ["scan", "--pattern", k2_file, "--n-list", "8,12", "--trials", "20",
+             "--seed", "9", "--workers", workers],
+            capsys,
+        )
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])

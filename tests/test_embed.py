@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -21,7 +22,7 @@ from hfactor.embed import (
 from hfactor.errors import InputError
 from hfactor.host import complete_host, host_from_edges, sample_gnp
 from hfactor.pattern import complete_pattern, pattern_from_edges, single_edge_pattern
-from hfactor.rng import derive_seed
+from hfactor.rng import derive_seed, rng_for
 
 K2 = complete_pattern(2)
 K3 = complete_pattern(3)
@@ -170,3 +171,48 @@ def test_regularity_part_b_sampled_battery():
         rep = regularity_report(K3, g, p, eps=0.3, beta=10.0, include_part_a=False)
         hits += rep["part_b"]["max_relative_deviation"] <= 0.3
     assert hits >= 48
+
+
+# Differential check of the neighbour-driven copy search against plain
+# filtering of all injections, exact equality on seeded hosts.
+DIFF_PATTERNS = [
+    K2,
+    K3,
+    pattern_from_edges(2, 4, [(0, 1), (1, 2), (0, 2), (0, 3)]),  # pendant hub
+    pattern_from_edges(2, 4, [(0, 1), (1, 2)]),  # vertex 3 isolated
+    pattern_from_edges(3, 4, [(0, 1, 2), (1, 2, 3)]),
+    pattern_from_edges(3, 5, [(0, 1, 2), (2, 3, 4)]),
+]
+
+
+def _diff_hosts(p):
+    return [sample_gnp(p.k, 7, 0.55, derive_seed(4242, p.k, p.v, t)) for t in range(4)]
+
+
+@pytest.mark.parametrize("p", DIFF_PATTERNS, ids=lambda p: f"k{p.k}v{p.v}m{p.m}")
+def test_copy_search_matches_injection_oracle(p):
+    for g in _diff_hosts(p):
+        copies = sorted(injection_copies(p, g))
+        assert enumerate_copies(p, g) == copies
+        assert role_images(p, g) == [{c[r] for c in copies} for r in range(p.v)]
+
+
+@pytest.mark.parametrize("p", DIFF_PATTERNS, ids=lambda p: f"k{p.k}v{p.v}m{p.m}")
+def test_constrained_count_matches_injection_oracle(p):
+    rng = rng_for(4243, p.k, p.v)
+    subsets = [
+        sub for r in range(1, p.m + 1) for sub in itertools.combinations(p.edges, r)
+    ]
+    for g in _diff_hosts(p):
+        pin_sets = [()] + [((a, x),) for a in range(p.v) for x in range(g.n)]
+        for _ in range(6):
+            a, b = rng.sample(range(p.v), 2)
+            x, y = rng.sample(range(g.n), 2)
+            pin_sets.append(((a, x), (b, y)))
+        for sub in subsets:
+            injections = injection_copies(pattern_from_edges(p.k, p.v, sub), g)
+            for pins in pin_sets:
+                if any({a for a, _ in pins}.issuperset(e) for e in sub):
+                    continue
+                want = sum(1 for c in injections if all(c[a] == x for a, x in pins))
+                assert constrained_count(p, g, ConstraintSpec(pins, sub)) == want

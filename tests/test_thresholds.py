@@ -118,3 +118,35 @@ def test_wilson_interval():
     assert lo < 0.5 < hi
     assert wilson_interval(0, 100)[0] == 0.0
     assert wilson_interval(100, 100)[1] == pytest.approx(1.0)
+
+
+# p_half, every probe estimate and chain_violations of small seeded scans,
+# recorded before the per-host evaluation was merged into one pass
+SCAN_GOLDEN = [
+    ("factor", 2, 8, 0.3448486328125,
+     [1.0, 0.25, 0.75, 0.45, 0.4, 0.55, 0.5, 0.7, 0.65, 0.4, 0.6, 0.7]),
+    ("factor", 2, 12, 0.2591552734375,
+     [1.0, 0.3, 0.95, 0.85, 0.55, 0.65, 0.35, 0.6, 0.55, 0.45, 0.55, 0.45]),
+    ("coverage", 2, 8, 0.2891845703125,
+     [1.0, 0.45, 0.75, 0.6, 0.4, 0.6, 0.35, 0.55, 0.6, 0.5, 0.6, 0.65]),
+    ("coverage", 2, 12, 0.2540283203125,
+     [1.0, 0.45, 0.95, 0.85, 0.65, 0.8, 0.6, 0.4, 0.6, 0.55, 0.5, 0.55]),
+    ("role", 2, 8, 0.2891845703125,
+     [1.0, 0.45, 0.75, 0.6, 0.4, 0.6, 0.35, 0.55, 0.6, 0.5, 0.6, 0.65]),
+    ("role", 2, 12, 0.2540283203125,
+     [1.0, 0.45, 0.95, 0.85, 0.65, 0.8, 0.6, 0.4, 0.6, 0.55, 0.5, 0.55]),
+    ("role", 3, 9, 0.5350341796875,
+     [0.45, 1.0, 0.85, 0.75, 0.45, 0.65, 0.5, 0.5, 0.4, 0.4, 0.4, 0.35]),
+]
+
+
+@pytest.mark.parametrize("prop,v", [("factor", 2), ("coverage", 2), ("role", 2), ("role", 3)])
+def test_scan_golden(prop, v):
+    expected = [row for row in SCAN_GOLDEN if row[:2] == (prop, v)]
+    n_list = [row[2] for row in expected]
+    estimates = threshold_scan(complete_pattern(v), n_list, trials=20, seed=31, property_name=prop)
+    for est, (_, _, n, p_half, probe_estimates) in zip(estimates, expected):
+        assert est.n == n
+        assert est.p_half == p_half
+        assert [pr["estimate"] for pr in est.probes] == probe_estimates
+        assert est.chain_violations == 0
