@@ -178,11 +178,6 @@ def enumerate_copies(pattern: PatternGraph, g: HostGraph) -> list[Copy]:
     return copies
 
 
-def copy_count(pattern: PatternGraph, g: HostGraph) -> int:
-    """|all labeled copies|, without materializing them."""
-    return constrained_count(pattern, g, full_constraint(pattern))
-
-
 def role_images(pattern: PatternGraph, g: HostGraph) -> list[set[int]]:
     """For each pattern vertex, the host vertices it maps to across all copies."""
     count, mult, partials = _count_or_collect(pattern, g, full_constraint(pattern), collect=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +58,8 @@ class FactorCounter:
 
     Blocks (v-subsets that host at least one copy) are precomputed with their
     embedding multiplicities; count(mask) then counts partitions of the
-    vertices selected by mask into blocks, weighted by multiplicity.
+    vertices selected by mask into blocks, weighted by multiplicity.  The
+    per-edge copy counts of each block are tabled on first use.
     """
 
     def __init__(self, pattern: PatternGraph, g: HostGraph, cap: int | None = None):
@@ -75,6 +77,7 @@ class FactorCounter:
         self.full_mask = (1 << g.n) - 1
         self._memo: dict[int, int] = {0: 1}
         self._dead: set[int] = set()
+        self._edge_uses: dict[frozenset[int], list[tuple[int, int]]] | None = None
         self._blocks_by_min: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         self._block_emb: dict[int, int] = {}
         self._precompute_blocks()
@@ -84,41 +87,69 @@ class FactorCounter:
         if p.is_single_edge():
             fac = math.factorial(p.k)
             for e in g.edges:
-                mask = 0
-                for x in e:
-                    mask |= 1 << x
-                self._add_block(e[0], mask, fac)
+                self._add_block(e, fac)
             return
         if p.is_complete_graph():
             fac = math.factorial(p.v)
             edge_set = g.edge_set
             for block in itertools.combinations(range(g.n), p.v):
                 if all(frozenset(pair) in edge_set for pair in itertools.combinations(block, 2)):
-                    mask = 0
-                    for x in block:
-                        mask |= 1 << x
-                    self._add_block(block[0], mask, fac)
+                    self._add_block(block, fac)
             return
         for block in itertools.combinations(range(g.n), p.v):
-            emb = self._embeddings_into(block)
+            emb = sum(1 for _ in self._embeddings(block))
             if emb:
-                mask = 0
-                for x in block:
-                    mask |= 1 << x
-                self._add_block(block[0], mask, emb)
+                self._add_block(block, emb)
 
-    def _add_block(self, min_vertex: int, mask: int, emb: int) -> None:
-        self._blocks_by_min[min_vertex].append((mask, emb))
+    def _add_block(self, block: tuple[int, ...], emb: int) -> None:
+        """Record a sorted vertex tuple hosting emb embeddings."""
+        mask = 0
+        for x in block:
+            mask |= 1 << x
+        self._blocks_by_min[block[0]].append((mask, emb))
         self._block_emb[mask] = emb
 
-    def _embeddings_into(self, block: tuple[int, ...]) -> int:
+    def _embeddings(self, block: tuple[int, ...]):
+        """Every embedding of the pattern onto the block, as a vertex tuple."""
         edge_set = self.host.edge_set
         edges = self.pattern.edges
-        count = 0
         for perm in itertools.permutations(block):
             if all(frozenset(perm[x] for x in e) in edge_set for e in edges):
-                count += 1
-        return count
+                yield perm
+
+    def _edge_use_table(self) -> dict[frozenset[int], list[tuple[int, int]]]:
+        """Host edge -> [(block mask, labeled copies in the block using the edge)]."""
+        if self._edge_uses is None:
+            p = self.pattern
+            uniform = p.is_single_edge() or p.is_complete_graph()
+            table: dict[frozenset[int], list[tuple[int, int]]] = {}
+            for bmask, emb in self._block_emb.items():
+                block = tuple(mask_bits(bmask))
+                if uniform:
+                    # every embedding uses every k-subset of its block
+                    uses = dict.fromkeys(map(frozenset, itertools.combinations(block, p.k)), emb)
+                else:
+                    uses = Counter(
+                        frozenset(perm[x] for x in pe)
+                        for perm in self._embeddings(block) for pe in p.edges
+                    )
+                for e, using in uses.items():
+                    table.setdefault(e, []).append((bmask, using))
+            self._edge_uses = table
+        return self._edge_uses
+
+    def without_edge(self, e) -> FactorCounter:
+        """Counter on the host minus edge e, keeping what e cannot change.
+
+        A count on a mask missing a vertex of e involves no block through e,
+        and deleting an edge only removes factors, so dead masks stay dead.
+        """
+        emask = sum(1 << x for x in e)
+        # the host already passed the size check, so its n is a safe cap
+        child = FactorCounter(self.pattern, self.host.without_edge(e), cap=self.host.n)
+        child._memo = {m: c for m, c in self._memo.items() if m & emask != emask}
+        child._dead = set(self._dead)
+        return child
 
     def block_items(self):
         """(mask, embedding count) over every block hosting a copy."""
@@ -171,26 +202,9 @@ class FactorCounter:
         key = tuple(sorted(e))
         if not self.host.has_edge(key):
             raise InputError(f"edge {key} not present")
-        ekey = frozenset(key)
-        emask = 0
-        for x in key:
-            emask |= 1 << x
-        edge_set = self.host.edge_set
-        pedges = self.pattern.edges
-        total = 0
-        for bmask, emb in self._block_emb.items():
-            if bmask & emask != emask:
-                continue
-            block = _mask_vertices(bmask)
-            using = 0
-            for perm in itertools.permutations(block):
-                images = [frozenset(perm[x] for x in pe) for pe in pedges]
-                if all(img in edge_set for img in images):
-                    if ekey in images:
-                        using += 1
-            if using:
-                total += using * self.count(self.full_mask & ~bmask)
-        return total
+        full = self.full_mask
+        uses = self._edge_use_table().get(frozenset(key), ())
+        return sum(using * self.count(full & ~bmask) for bmask, using in uses)
 
     def exists(self, mask: int | None = None) -> bool:
         """Factor existence with failure memoization and early exit."""
@@ -220,29 +234,8 @@ class FactorCounter:
 
     def copies_per_edge_max(self) -> int:
         """max over host edges of the number of labeled copies using that edge."""
-        best = 0
-        edge_set = self.host.edge_set
-        pedges = self.pattern.edges
-        for e in self.host.edges:
-            ekey = frozenset(e)
-            emask = 0
-            for x in e:
-                emask |= 1 << x
-            through = 0
-            for bmask, _ in self._block_emb.items():
-                if bmask & emask != emask:
-                    continue
-                block = _mask_vertices(bmask)
-                for perm in itertools.permutations(block):
-                    images = [frozenset(perm[x] for x in pe) for pe in pedges]
-                    if all(img in edge_set for img in images) and ekey in images:
-                        through += 1
-            best = max(best, through)
-        return best
-
-
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    return tuple(mask_bits(mask))
+        table = self._edge_use_table()
+        return max((sum(using for _, using in uses) for uses in table.values()), default=0)
 
 
 def _check_countable(pattern: PatternGraph, n: int, cap: int | None) -> None:

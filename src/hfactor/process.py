@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .factor import FactorCounter, counting_cap
 from .host import HostGraph, complete_host, random_ordering, total_edges
 from .pattern import PatternGraph
@@ -126,8 +126,7 @@ def run_process(
         raise InputError(f"n={n} exceeds the exact-counting cap {cap} for v={pattern.v}")
     ordering = random_ordering(pattern.k, n, seed)
     total = total_edges(pattern.k, n)
-    g = complete_host(pattern.k, n)
-    counter = FactorCounter(pattern, g)
+    counter = FactorCounter(pattern, complete_host(pattern.k, n))
     phi_prev = counter.count()
     log_initial = math.log(phi_prev)
     trace = ProcessTrace(
@@ -147,9 +146,13 @@ def run_process(
             break
         max_beta = counter.copies_per_edge_max()
         min_degree = min(counter.copy_vertex_degrees(), default=0)
-        g = g.without_edge(edge)
-        counter = FactorCounter(pattern, g)
+        using = counter.count_using_edge(edge)
+        counter = counter.without_edge(edge)
         phi_now = counter.count()
+        if phi_now != phi_prev - using:
+            raise InvariantError(
+                f"step {i}: {phi_now} factors left, expected {phi_prev} - {using} using {edge}"
+            )
         xi = Fraction(phi_prev - phi_now, phi_prev)
         gam = Fraction(mnv, total - i + 1)
         gamma_sum += gam

@@ -231,3 +231,22 @@ def test_scan_workers_byte_identical(k2_file, capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["models", "--n", "8", "--p", "0.5", "--trials", "40", "--seed", "5"],
+        ["trace", "--n", "9", "--seed", "4"],
+    ],
+    ids=["models", "trace"],
+)
+def test_workers_byte_identical(args, k2_file, k3_file, capsys):
+    pattern = k2_file if args[0] == "models" else k3_file
+    outputs = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(args + ["--pattern", pattern, "--workers", workers], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]

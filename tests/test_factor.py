@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from conftest import graph_hosts, graph_patterns
-from oracles import partition_factor_count
+from oracles import injection_copies, partition_factor_count
 
 from hfactor.errors import InputError, NoFactorError
 from hfactor.factor import (
@@ -19,8 +19,13 @@ from hfactor.factor import (
     has_factor,
     weight_w,
 )
-from hfactor.host import complete_host, host_from_edges, sample_gnp
-from hfactor.pattern import complete_pattern, pattern_from_edges, single_edge_pattern
+from hfactor.host import complete_host, host_from_edges, random_ordering, sample_gnp
+from hfactor.pattern import (
+    complete_pattern,
+    path_pattern,
+    pattern_from_edges,
+    single_edge_pattern,
+)
 from hfactor.rng import derive_seed
 
 K2 = complete_pattern(2)
@@ -209,3 +214,59 @@ def test_counter_memo_reuse():
     assert full == complete_graph_count(K2, 8).labeled
     # induced-subgraph counts through the same memo
     assert counter.count_excluding((0, 1)) == complete_graph_count(K2, 6).labeled
+
+
+# The per-block edge-use table against brute force: uniform patterns (K2, K3,
+# one 3-edge) take their entries from the block multiplicity, the others from
+# the embedding walk; the path's blocks lose copies without dying.
+P3 = path_pattern(3)
+PENDANT_HUB = pattern_from_edges(2, 4, [(0, 1), (1, 2), (0, 2), (0, 3)])
+TWO_TRIPLES = pattern_from_edges(3, 4, [(0, 1, 2), (1, 2, 3)])
+EDGE_USE_CASES = [
+    (K2, 8, 0.5), (K3, 9, 0.7), (P3, 9, 0.5), (PENDANT_HUB, 8, 0.7),
+    (E3, 9, 0.3), (TWO_TRIPLES, 8, 0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "p, n, prob", EDGE_USE_CASES,
+    ids=["K2", "K3", "P3", "pendant-hub", "E3", "two-triples"],
+)
+def test_edge_use_table_matches_oracles(p, n, prob):
+    nonzero = 0
+    for t in range(3):
+        g = sample_gnp(p.k, n, prob, derive_seed(5150, p.k, p.v, p.m, t))
+        images = [{frozenset(c[x] for x in pe) for pe in p.edges} for c in injection_copies(p, g)]
+        counter = FactorCounter(p, g)
+        assert counter.copies_per_edge_max() == max(
+            (sum(frozenset(e) in imgs for imgs in images) for e in g.edges), default=0
+        )
+        total = partition_factor_count(p, g)
+        for e in g.edges:
+            using = total - partition_factor_count(p, g.without_edge(e))
+            assert counter.count_using_edge(e) == using
+            nonzero += using > 0
+    assert nonzero > 0
+
+
+# A counter carried through deletions with without_edge against one built
+# from scratch on the same host, at every step of seeded orderings.
+@pytest.mark.parametrize(
+    "p, n", [(K2, 8), (K3, 9), (P3, 9), (TWO_TRIPLES, 8)],
+    ids=["K2-8", "K3-9", "P3-9", "two-triples-8"],
+)
+def test_without_edge_matches_fresh_counter(p, n):
+    for seed in (3, 4):
+        g = complete_host(p.k, n)
+        carried = FactorCounter(p, g)
+        for e in random_ordering(p.k, n, seed).sequence:
+            g = g.without_edge(e)
+            carried = carried.without_edge(e)
+            fresh = FactorCounter(p, g)
+            assert sorted(carried.block_items()) == sorted(fresh.block_items())
+            masks = [fresh.full_mask] + [fresh.full_mask & ~b for b, _ in fresh.block_items()]
+            # existence first, so the dead sets fill before the counts do
+            for counter in (carried, fresh):
+                counter.exists(masks[0])
+            assert [carried.exists(m) for m in masks] == [fresh.exists(m) for m in masks]
+            assert [carried.count(m) for m in masks] == [fresh.count(m) for m in masks]

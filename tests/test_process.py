@@ -6,13 +6,14 @@ import pytest
 from hfactor.errors import InputError
 from hfactor.factor import FactorCounter
 from hfactor.host import complete_host, sample_gnp, total_edges
-from hfactor.pattern import complete_pattern, single_edge_pattern
+from hfactor.pattern import complete_pattern, path_pattern, single_edge_pattern
 from hfactor.process import gamma, run_process, tail_experiment, verify_martingale_step
 from hfactor.rng import derive_seed
 
 K2 = complete_pattern(2)
 K3 = complete_pattern(3)
 E3 = single_edge_pattern(3)
+P3 = path_pattern(3)
 
 
 def test_gamma_values():
@@ -153,3 +154,97 @@ def test_process_validation():
         run_process(K3, 7, seed=0)
     with pytest.raises(InputError):
         run_process(K2, 30, seed=0)
+
+
+# Per step (xi, max_copies_per_edge, min_copy_degree, prev_maxr, guard_ok),
+# recorded from the counter that was rebuilt from scratch on every step.
+# The CSV digests do not cover the copy-bound columns.
+_GOLDEN_TRACES = [
+    (K2, 8, 5, 15, "extinct", [
+        ('1/7', 2, 14, '1', True),
+        ('2/15', 2, 12, '9/8', True),
+        ('5/39', 2, 12, '5/4', True),
+        ('3/17', 2, 12, '75/68', True),
+        ('1/7', 2, 10, '9/7', True),
+        ('7/48', 2, 10, '23/16', True),
+        ('5/41', 2, 10, '55/41', True),
+        ('7/36', 2, 10, '7/6', True),
+        ('6/29', 2, 8, '40/29', True),
+        ('4/23', 2, 8, '38/23', True),
+        ('8/19', 2, 6, '36/19', True),
+        ('6/11', 2, 4, '51/22', False),
+        ('2/5', 2, 2, '4', False),
+        ('0', 2, 2, '15/4', False),
+        ('1', 2, 2, '7/2', False),
+    ]),
+    (K3, 9, 2, 13, "extinct", [
+        ('1/4', 42, 168, '1', True),
+        ('5/21', 42, 126, '11/9', True),
+        ('11/40', 42, 120, '35/24', True),
+        ('15/58', 42, 84, '160/87', True),
+        ('14/43', 42, 84, '290/129', True),
+        ('7/29', 42, 60, '90/29', True),
+        ('2/11', 42, 54, '40/11', True),
+        ('5/18', 36, 48, '35/9', True),
+        ('7/13', 36, 48, '38/13', False),
+        ('5/12', 36, 30, '35/9', False),
+        ('1/7', 36, 18, '44/7', False),
+        ('2/3', 30, 12, '6', False),
+        ('1', 30, 6, '26/3', False),
+    ]),
+    (P3, 9, 4, 27, "extinct", [
+        ('1/6', 28, 168, '1', True),
+        ('13/70', 28, 140, '17/15', True),
+        ('4/19', 28, 114, '25/19', True),
+        ('119/675', 28, 90, '71/45', True),
+        ('129/556', 28, 88, '250/139', True),
+        ('178/1281', 28, 88, '135/61', True),
+        ('279/1103', 28, 84, '2625/1103', True),
+        ('31/206', 28, 64, '2475/824', True),
+        ('29/100', 26, 60, '418/175', True),
+        ('197/994', 26, 42, '1573/497', False),
+        ('214/797', 26, 42, '2904/797', False),
+        ('247/583', 26, 42, '246/53', False),
+        ('5/24', 26, 28, '145/36', False),
+        ('65/266', 26, 28, '477/133', False),
+        ('79/201', 26, 28, '294/67', False),
+        ('14/61', 26, 28, '819/122', False),
+        ('11/47', 24, 26, '943/141', False),
+        ('23/72', 22, 18, '1679/216', False),
+        ('4/49', 20, 18, '1105/147', False),
+        ('2/5', 18, 16, '952/135', False),
+        ('11/27', 18, 12, '539/81', False),
+        ('9/16', 18, 10, '129/16', False),
+        ('2/7', 16, 4, '190/21', False),
+        ('2/5', 14, 2, '31/3', False),
+        ('0', 12, 2, '8', False),
+        ('2/3', 10, 2, '19/3', False),
+        ('1', 10, 2, '5', False),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "pat, n, seed, stop_step, stop_reason, rows", _GOLDEN_TRACES,
+    ids=["K2-8", "K3-9", "P3-9"],
+)
+def test_run_process_golden(pat, n, seed, stop_step, stop_reason, rows):
+    trace = run_process(pat, n, seed=seed)
+    assert (trace.stop_step, trace.stop_reason) == (stop_step, stop_reason)
+    got = [
+        (s.xi, s.max_copies_per_edge, s.min_copy_degree, s.prev_maxr, s.guard_ok)
+        for s in trace.steps
+    ]
+    want = [
+        (Fraction(xi), beta, deg, None if maxr is None else Fraction(maxr), ok)
+        for xi, beta, deg, maxr, ok in rows
+    ]
+    assert got == want
+
+
+def test_run_process_golden_t_max():
+    trace = run_process(K2, 8, seed=5, t_max=6)
+    assert (trace.stop_step, trace.stop_reason) == (6, "t_max")
+    assert [s.xi for s in trace.steps] == [
+        Fraction(x) for x in ("1/7", "2/15", "5/39", "3/17", "1/7", "7/48")
+    ]
