@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
-from .host import HostGraph, mask_bits
+from .host import HostGraph
 from .pattern import PatternGraph
 
 Copy = tuple[int, ...]
@@ -217,21 +218,47 @@ def copy_degree(pattern: PatternGraph, g: HostGraph, x: int) -> int:
 
 def copy_degrees(pattern: PatternGraph, g: HostGraph) -> list[int]:
     """copy_degree for every host vertex in one pass."""
-    if pattern.is_single_edge():
-        deg = [0] * g.n
-        fac = math.factorial(pattern.k)
-        for e in g.edges:
-            for x in e:
-                deg[x] += fac
-        return deg
-    if pattern.is_complete_graph() and pattern.v == 3:
-        adj = g.adjacency
-        return [3 * sum((adj[x] & adj[y]).bit_count() for y in mask_bits(adj[x])) for x in range(g.n)]
-    degs = [0] * g.n
-    for copy in enumerate_copies(pattern, g):
-        for x in copy:
-            degs[x] += 1
+    return block_degrees(g.n, host_blocks(pattern, g))
+
+
+def block_degrees(n: int, blocks) -> list[int]:
+    """Per-vertex sums of block multiplicities over (vertices, copies) pairs."""
+    degs = [0] * n
+    for block, emb in blocks:
+        for x in block:
+            degs[x] += emb
     return degs
+
+
+def host_blocks(pattern: PatternGraph, g: HostGraph) -> list[tuple[tuple[int, ...], int]]:
+    """Every v-set hosting a copy as (sorted vertex tuple, labeled copies on it).
+
+    Blocks come in lexicographic order.  A single edge hosts k! copies and a
+    clique of a complete pattern v! copies; any other pattern groups its
+    enumerated copies by vertex set.
+    """
+    _check_arity(pattern, g)
+    if pattern.is_single_edge():
+        fac = math.factorial(pattern.k)
+        return [(e, fac) for e in g.edges]
+    if pattern.is_complete_graph():
+        fac = math.factorial(pattern.v)
+        return [(c, fac) for c in _cliques(g.adjacency, pattern.v, (1 << g.n) - 1, ())]
+    return sorted(Counter(tuple(sorted(c)) for c in enumerate_copies(pattern, g)).items())
+
+
+def _cliques(adj, size: int, cand: int, prefix: tuple[int, ...]):
+    """Cliques extending prefix by size vertices of cand, in lexicographic order."""
+    while cand:
+        # take the lowest vertex out of cand, so a clique grows only by later
+        # vertices and comes out once, sorted
+        low = cand & -cand
+        cand ^= low
+        x = low.bit_length() - 1
+        if size == 1:
+            yield prefix + (x,)
+        else:
+            yield from _cliques(adj, size - 1, cand & adj[x], prefix + (x,))
 
 
 def expected_copy_degree(pattern: PatternGraph, n: int, p: float) -> float:

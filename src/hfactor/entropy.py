@@ -79,17 +79,10 @@ def copy_distribution(pattern: PatternGraph, g: HostGraph, y: int) -> CopyDistri
     if total == 0:
         raise NoFactorError("host has no factor")
     kept, weights, zeros = [], [], 0
-    weight_by_mask: dict[int, int] = {}
     for c in enumerate_copies(pattern, g):
         if y not in c:
             continue
-        mask = 0
-        for x in c:
-            mask |= 1 << x
-        w = weight_by_mask.get(mask)
-        if w is None:
-            w = counter.count(counter.full_mask & ~mask)
-            weight_by_mask[mask] = w
+        w = counter.count_excluding(c)
         if w > 0:
             kept.append(c)
             weights.append(w)

@@ -19,9 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .embed import block_degrees, enumerate_copies, host_blocks
 from .errors import InputError, InvariantError, NoFactorError
-from .host import HostGraph, complete_host, mask_bits
-from .pattern import PatternGraph, automorphism_count
+from .host import HostGraph, mask_bits
+from .pattern import PatternGraph, automorphism_count, check_divisible
 
 # bitmask DP state space grows as 2^n; caps keep worst cases to a few seconds
 DEFAULT_CAPS = {2: 24, 3: 15}
@@ -30,6 +31,12 @@ DEFAULT_CAP_LARGE = 12
 
 def counting_cap(v: int) -> int:
     return DEFAULT_CAPS.get(v, DEFAULT_CAP_LARGE)
+
+
+def check_cap(pattern: PatternGraph, n: int) -> None:
+    limit = counting_cap(pattern.v)
+    if n > limit:
+        raise InputError(f"n={n} exceeds the exact-counting cap {limit} for v={pattern.v}")
 
 
 @dataclass(frozen=True)
@@ -62,16 +69,12 @@ class FactorCounter:
     per-edge copy counts of each block are tabled on first use.
     """
 
-    def __init__(self, pattern: PatternGraph, g: HostGraph, cap: int | None = None):
+    def __init__(self, pattern: PatternGraph, g: HostGraph):
         if pattern.k != g.k:
             raise InputError(
                 f"pattern arity {pattern.k} does not match host arity {g.k}"
             )
-        limit = cap if cap is not None else counting_cap(pattern.v)
-        if g.n > limit:
-            raise InputError(
-                f"n={g.n} exceeds the exact-counting cap {limit} for v={pattern.v}"
-            )
+        check_cap(pattern, g.n)
         self.pattern = pattern
         self.host = g
         self.full_mask = (1 << g.n) - 1
@@ -83,57 +86,27 @@ class FactorCounter:
         self._precompute_blocks()
 
     def _precompute_blocks(self) -> None:
-        p, g = self.pattern, self.host
-        if p.is_single_edge():
-            fac = math.factorial(p.k)
-            for e in g.edges:
-                self._add_block(e, fac)
-            return
-        if p.is_complete_graph():
-            fac = math.factorial(p.v)
-            edge_set = g.edge_set
-            for block in itertools.combinations(range(g.n), p.v):
-                if all(frozenset(pair) in edge_set for pair in itertools.combinations(block, 2)):
-                    self._add_block(block, fac)
-            return
-        for block in itertools.combinations(range(g.n), p.v):
-            emb = sum(1 for _ in self._embeddings(block))
-            if emb:
-                self._add_block(block, emb)
-
-    def _add_block(self, block: tuple[int, ...], emb: int) -> None:
-        """Record a sorted vertex tuple hosting emb embeddings."""
-        mask = 0
-        for x in block:
-            mask |= 1 << x
-        self._blocks_by_min[block[0]].append((mask, emb))
-        self._block_emb[mask] = emb
-
-    def _embeddings(self, block: tuple[int, ...]):
-        """Every embedding of the pattern onto the block, as a vertex tuple."""
-        edge_set = self.host.edge_set
-        edges = self.pattern.edges
-        for perm in itertools.permutations(block):
-            if all(frozenset(perm[x] for x in e) in edge_set for e in edges):
-                yield perm
+        for block, emb in host_blocks(self.pattern, self.host):
+            mask = _vertex_mask(block)
+            self._blocks_by_min[block[0]].append((mask, emb))
+            self._block_emb[mask] = emb
 
     def _edge_use_table(self) -> dict[frozenset[int], list[tuple[int, int]]]:
         """Host edge -> [(block mask, labeled copies in the block using the edge)]."""
         if self._edge_uses is None:
             p = self.pattern
-            uniform = p.is_single_edge() or p.is_complete_graph()
             table: dict[frozenset[int], list[tuple[int, int]]] = {}
-            for bmask, emb in self._block_emb.items():
-                block = tuple(mask_bits(bmask))
-                if uniform:
-                    # every embedding uses every k-subset of its block
-                    uses = dict.fromkeys(map(frozenset, itertools.combinations(block, p.k)), emb)
-                else:
-                    uses = Counter(
-                        frozenset(perm[x] for x in pe)
-                        for perm in self._embeddings(block) for pe in p.edges
-                    )
-                for e, using in uses.items():
+            if p.is_single_edge() or p.is_complete_graph():
+                # every embedding uses every k-subset of its block
+                for bmask, emb in self._block_emb.items():
+                    for e in itertools.combinations(mask_bits(bmask), p.k):
+                        table.setdefault(frozenset(e), []).append((bmask, emb))
+            else:
+                uses = Counter(
+                    (frozenset(c[x] for x in pe), _vertex_mask(c))
+                    for c in enumerate_copies(p, self.host) for pe in p.edges
+                )
+                for (e, bmask), using in uses.items():
                     table.setdefault(e, []).append((bmask, using))
             self._edge_uses = table
         return self._edge_uses
@@ -145,8 +118,7 @@ class FactorCounter:
         and deleting an edge only removes factors, so dead masks stay dead.
         """
         emask = sum(1 << x for x in e)
-        # the host already passed the size check, so its n is a safe cap
-        child = FactorCounter(self.pattern, self.host.without_edge(e), cap=self.host.n)
+        child = FactorCounter(self.pattern, self.host.without_edge(e))
         child._memo = {m: c for m, c in self._memo.items() if m & emask != emask}
         child._dead = set(self._dead)
         return child
@@ -226,11 +198,7 @@ class FactorCounter:
 
     def copy_vertex_degrees(self) -> list[int]:
         """Labeled copies through each vertex, summed from block multiplicities."""
-        degs = [0] * self.host.n
-        for bmask, emb in self._block_emb.items():
-            for x in mask_bits(bmask):
-                degs[x] += emb
-        return degs
+        return block_degrees(self.host.n, ((mask_bits(m), emb) for m, emb in self._block_emb.items()))
 
     def copies_per_edge_max(self) -> int:
         """max over host edges of the number of labeled copies using that edge."""
@@ -238,18 +206,17 @@ class FactorCounter:
         return max((sum(using for _, using in uses) for uses in table.values()), default=0)
 
 
-def _check_countable(pattern: PatternGraph, n: int, cap: int | None) -> None:
-    if n % pattern.v:
-        raise InputError(f"n={n} is not divisible by pattern size {pattern.v}")
-    limit = cap if cap is not None else counting_cap(pattern.v)
-    if n > limit:
-        raise InputError(f"n={n} exceeds the exact-counting cap {limit} for v={pattern.v}")
+def _vertex_mask(vertices) -> int:
+    mask = 0
+    for x in vertices:
+        mask |= 1 << x
+    return mask
 
 
-def count_factors(pattern: PatternGraph, g: HostGraph, cap: int | None = None) -> FactorCount:
+def count_factors(pattern: PatternGraph, g: HostGraph) -> FactorCount:
     """Exact labeled and unlabeled factor counts."""
-    _check_countable(pattern, g.n, cap)
-    labeled = FactorCounter(pattern, g, cap=cap).count()
+    check_divisible(pattern, g.n)
+    labeled = FactorCounter(pattern, g).count()
     return _with_unlabeled(pattern, g.n, labeled)
 
 
@@ -266,8 +233,7 @@ def _with_unlabeled(pattern: PatternGraph, n: int, labeled: int) -> FactorCount:
 
 def has_factor(pattern: PatternGraph, g: HostGraph) -> bool:
     """Factor existence; much cheaper than counting on sparse hosts."""
-    if g.n % pattern.v:
-        raise InputError(f"n={g.n} is not divisible by pattern size {pattern.v}")
+    check_divisible(pattern, g.n)
     counter = FactorCounter(pattern, g)
     covered = 0
     for bmask, _ in counter.block_items():
@@ -279,8 +245,7 @@ def has_factor(pattern: PatternGraph, g: HostGraph) -> bool:
 
 def complete_graph_count(pattern: PatternGraph, n: int) -> FactorCount:
     """Closed form on the complete host: labeled count n!/(n/v)!."""
-    if n % pattern.v:
-        raise InputError(f"n={n} is not divisible by pattern size {pattern.v}")
+    check_divisible(pattern, n)
     labeled = math.factorial(n) // math.factorial(n // pattern.v)
     return _with_unlabeled(pattern, n, labeled)
 
@@ -291,8 +256,7 @@ def expected_factor_count(pattern: PatternGraph, n: int, p: float) -> float:
     Every factor uses exactly m*n/v distinct edges (its copies are
     vertex-disjoint), so the expectation is n!/(n/v)! times p to that power.
     """
-    if n % pattern.v:
-        raise InputError(f"n={n} is not divisible by pattern size {pattern.v}")
+    check_divisible(pattern, n)
     exponent = pattern.m * n // pattern.v
     return float(math.factorial(n) // math.factorial(n // pattern.v)) * p**exponent
 
@@ -339,8 +303,6 @@ def weight_w(pattern: PatternGraph, g: HostGraph, zapped, counter: FactorCounter
 
 def b_statistic(pattern: PatternGraph, g: HostGraph) -> WeightStats:
     """Per-copy weights w(K) = #factors of G minus V(K), with their spread."""
-    from .embed import enumerate_copies
-
     counter = FactorCounter(pattern, g)
     total = counter.count()
     if total == 0:
@@ -348,17 +310,7 @@ def b_statistic(pattern: PatternGraph, g: HostGraph) -> WeightStats:
     copies = enumerate_copies(pattern, g)
     if not copies:
         raise NoFactorError("host has no copies")
-    weight_by_mask: dict[int, int] = {}
-    weights = []
-    for c in copies:
-        mask = 0
-        for x in c:
-            mask |= 1 << x
-        w = weight_by_mask.get(mask)
-        if w is None:
-            w = counter.count(counter.full_mask & ~mask)
-            weight_by_mask[mask] = w
-        weights.append(w)
+    weights = [counter.count_excluding(c) for c in copies]
     mean = Fraction(sum(weights), len(weights))
     mx = max(weights)
     return WeightStats(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
-from .pattern import PatternGraph
+from .pattern import PatternGraph, check_divisible
 from .rng import derive_seed, rng_for
 
 MAX_HOST_VERTICES_SAMPLING = 10_000
@@ -222,8 +222,7 @@ def compare_models(
     """
     from .parallel import run_trials
 
-    if n % pattern.v:
-        raise InputError(f"n={n} is not divisible by pattern size {pattern.v}")
+    check_divisible(pattern, n)
     if trials < 1:
         raise InputError("need at least one trial")
     total = total_edges(pattern.k, n)

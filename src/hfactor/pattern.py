@@ -70,14 +70,6 @@ class PatternGraph:
     def edge_set(self) -> frozenset[frozenset[int]]:
         return frozenset(frozenset(e) for e in self.edges)
 
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.v
-        for e in self.edges:
-            for x in e:
-                deg[x] += 1
-        return tuple(deg)
-
     def is_complete_graph(self) -> bool:
         return self.k == 2 and self.m == math.comb(self.v, 2)
 
@@ -99,6 +91,12 @@ class DensityReport:
     critical_edge_count: int
     balance: Balance
     automorphism_count: int
+
+
+def check_divisible(p: PatternGraph, n: int) -> None:
+    """A factor on n vertices needs v to divide n."""
+    if n % p.v:
+        raise InputError(f"n={n} is not divisible by pattern size {p.v}")
 
 
 def pattern_from_edges(k: int, v: int, edges) -> PatternGraph:
@@ -225,36 +223,11 @@ def balance_class(p: PatternGraph) -> Balance:
 def automorphism_count(p: PatternGraph) -> int:
     """Number of vertex permutations mapping the edge set onto itself.
 
-    Backtracking over images with degree pruning; a bijection maps the edge
-    set into itself iff onto, so only the forward check is needed.
+    These are the labeled copies of p in itself: an injection of the vertex
+    set into itself is a bijection, and it maps the edge set into itself iff
+    onto.
     """
-    deg = p.degrees
-    edge_set = p.edge_set
-    # edges checkable once their largest vertex is placed
-    by_max = [[] for _ in range(p.v)]
-    for e in p.edges:
-        by_max[max(e)].append(e)
-    image = [-1] * p.v
-    used = [False] * p.v
-    count = 0
+    from .embed import constrained_count, full_constraint
+    from .host import host_from_edges
 
-    def place(i: int) -> None:
-        nonlocal count
-        if i == p.v:
-            count += 1
-            return
-        for c in range(p.v):
-            if used[c] or deg[c] != deg[i]:
-                continue
-            image[i] = c
-            ok = all(
-                frozenset(image[x] for x in e) in edge_set for e in by_max[i]
-            )
-            if ok:
-                used[c] = True
-                place(i + 1)
-                used[c] = False
-        image[i] = -1
-
-    place(0)
-    return count
+    return constrained_count(p, host_from_edges(p.k, p.v, p.edges), full_constraint(p))

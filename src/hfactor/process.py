@@ -14,10 +14,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .embed import expected_copy_degree
 from .errors import InputError, InvariantError
-from .factor import FactorCounter, counting_cap
+from .factor import FactorCounter, check_cap
 from .host import HostGraph, complete_host, random_ordering, total_edges
-from .pattern import PatternGraph
+from .pattern import PatternGraph, check_divisible
 from .rng import derive_seed
 
 
@@ -59,8 +60,7 @@ class ProcessTrace:
 
 def gamma(pattern: PatternGraph, n: int, i: int) -> Fraction:
     """Exact conditional mean of xi_i: (m*n/v) / (#edges - i + 1)."""
-    if n % pattern.v:
-        raise InputError(f"n={n} is not divisible by pattern size {pattern.v}")
+    check_divisible(pattern, n)
     total = total_edges(pattern.k, n)
     if not 1 <= i <= total:
         raise InputError(f"step {i} out of range 1..{total}")
@@ -68,7 +68,7 @@ def gamma(pattern: PatternGraph, n: int, i: int) -> Fraction:
 
 
 def _guard_state(
-    pattern: PatternGraph, counter: FactorCounter, p_now: float,
+    pattern: PatternGraph, counter: FactorCounter, degs: list[int], p_now: float,
     b_level: float, reg_eps: float,
 ) -> tuple[bool, Fraction | None]:
     """Finite-threshold stand-ins for the flatness and regularity events.
@@ -76,10 +76,9 @@ def _guard_state(
     Flatness: no copy sits in more than b_level times the average number of
     factors.  Regularity: every per-vertex copy count is within reg_eps
     relative deviation of its independent-edge expectation at the current
-    effective density.  Both are evaluated exactly from the shared counter.
-    Returns (both hold, the flatness ratio maxr).
+    effective density.  Both are evaluated exactly from the shared counter
+    and its copy degrees degs.  Returns (both hold, the flatness ratio maxr).
     """
-    n, v = counter.host.n, pattern.v
     # flatness of per-copy weights
     weight_sum = 0
     copy_total = 0
@@ -97,10 +96,9 @@ def _guard_state(
     if maxr > b_level:
         return False, maxr
     # degree regularity against the expected copy degree
-    expected = v * math.perm(n - 1, v - 1) * p_now**pattern.m
+    expected = expected_copy_degree(pattern, counter.host.n, p_now)
     if expected <= 0:
         return False, maxr
-    degs = counter.copy_vertex_degrees()
     worst = max(abs(d - expected) for d in degs)
     return worst <= reg_eps * expected, maxr
 
@@ -119,11 +117,8 @@ def run_process(
     every edge is gone.  The guard zeroes z from the first step whose
     preceding graphs ever failed the flatness or regularity thresholds.
     """
-    if n % pattern.v:
-        raise InputError(f"n={n} is not divisible by pattern size {pattern.v}")
-    cap = counting_cap(pattern.v)
-    if n > cap:
-        raise InputError(f"n={n} exceeds the exact-counting cap {cap} for v={pattern.v}")
+    check_divisible(pattern, n)
+    check_cap(pattern, n)
     ordering = random_ordering(pattern.k, n, seed)
     total = total_edges(pattern.k, n)
     counter = FactorCounter(pattern, complete_host(pattern.k, n))
@@ -133,7 +128,8 @@ def run_process(
         pattern=pattern, n=n, seed=seed, t_max=t_max,
         b_level=b_level, reg_eps=reg_eps, log_initial=log_initial,
     )
-    guard_ok, prev_maxr = _guard_state(pattern, counter, 1.0, b_level, reg_eps)
+    degs = counter.copy_vertex_degrees()
+    guard_ok, prev_maxr = _guard_state(pattern, counter, degs, 1.0, b_level, reg_eps)
     if not guard_ok:
         trace.guard_trip_step = 0
     x_partial = Fraction(0)
@@ -145,7 +141,7 @@ def run_process(
             trace.stop_reason = "t_max"
             break
         max_beta = counter.copies_per_edge_max()
-        min_degree = min(counter.copy_vertex_degrees(), default=0)
+        min_degree = min(degs, default=0)
         using = counter.count_using_edge(edge)
         counter = counter.without_edge(edge)
         phi_now = counter.count()
@@ -174,7 +170,8 @@ def run_process(
             break
         phi_prev = phi_now
         p_now = 1.0 - i / total
-        still_ok, prev_maxr = _guard_state(pattern, counter, p_now, b_level, reg_eps)
+        degs = counter.copy_vertex_degrees()
+        still_ok, prev_maxr = _guard_state(pattern, counter, degs, p_now, b_level, reg_eps)
         if guard_ok and not still_ok:
             trace.guard_trip_step = i
         guard_ok = guard_ok and still_ok

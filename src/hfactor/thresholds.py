@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .embed import role_images
 from .errors import InputError
-from .factor import counting_cap, has_factor
+from .factor import check_cap, counting_cap, has_factor
 from .host import HostGraph, sample_gnp
 from .parallel import run_trials
-from .pattern import PatternGraph, density_profile
+from .pattern import PatternGraph, check_divisible, density_profile
 from .rng import derive_seed
 
 PROPERTIES = ("factor", "coverage", "role")
@@ -77,8 +76,7 @@ def coverage_check(pattern: PatternGraph, g: HostGraph) -> bool:
 
 def role_coverage_check(pattern: PatternGraph, g: HostGraph) -> bool:
     """Coverage plus every pattern role realized by at least n/v host vertices."""
-    if g.n % pattern.v:
-        raise InputError(f"n={g.n} is not divisible by pattern size {pattern.v}")
+    check_divisible(pattern, g.n)
     return _roles_cover(role_images(pattern, g), g.n)
 
 
@@ -109,16 +107,15 @@ def threshold_scan(
     seed: int = 0,
     property_name: str = "factor",
     rounds: int = 12,
-    check_chain: bool = True,
     workers: int = 1,
 ) -> list[ThresholdEstimate]:
     """Bisection estimate of the density where Pr(property) crosses target.
 
     The bracket starts at [0, 1] (probability 0 and 1 by monotonicity of an
     increasing property); each round probes the midpoint with a fixed number
-    of fresh samples.  With check_chain every sampled host is also tested for
-    the implication chain factor => role coverage => coverage, and violations
-    are counted (they indicate a bug, as the chain is a theorem).
+    of fresh samples.  Every sampled host is also tested for the implication
+    chain factor => role coverage => coverage, and violations are counted
+    (they indicate a bug, as the chain is a theorem).
     """
     if trials < 1:
         raise InputError("need at least one trial per probe")
@@ -130,19 +127,17 @@ def threshold_scan(
         raise InputError(f"unknown property {property_name!r}; choose from {PROPERTIES}")
     estimates = []
     for n_index, n in enumerate(n_list):
-        if property_name in ("factor", "role") and n % pattern.v:
-            raise InputError(f"n={n} is not divisible by pattern size {pattern.v}")
-        if property_name == "factor" and n > counting_cap(pattern.v):
-            raise InputError(
-                f"n={n} exceeds the exact-counting cap {counting_cap(pattern.v)}"
-            )
+        if property_name in ("factor", "role"):
+            check_divisible(pattern, n)
+        if property_name == "factor":
+            check_cap(pattern, n)
         lo, hi = 0.0, 1.0
         probes = []
         violations = 0
         for rnd in range(rounds):
             mid = (lo + hi) / 2.0
             payloads = [
-                (pattern, n, mid, property_name, check_chain, derive_seed(seed, n_index, rnd, t))
+                (pattern, n, mid, property_name, derive_seed(seed, n_index, rnd, t))
                 for t in range(trials)
             ]
             results = run_trials(_probe_worker, payloads, workers)
@@ -185,9 +180,9 @@ def _probe_worker(payload) -> tuple[bool, bool]:
     chain.  Hosts beyond the exact-counting caps skip the chain (factor
     existence is not computable there).
     """
-    pattern, n, p, property_name, check_chain, seed = payload
+    pattern, n, p, property_name, seed = payload
     g = sample_gnp(pattern.k, n, p, seed)
-    chain = check_chain and n % pattern.v == 0 and n <= counting_cap(pattern.v)
+    chain = n % pattern.v == 0 and n <= counting_cap(pattern.v)
     factor = (property_name == "factor" or chain) and has_factor(pattern, g)
     realized = role_images(pattern, g) if property_name != "factor" or (chain and factor) else None
     if property_name == "factor":

@@ -181,7 +181,7 @@ SCAN_TRIALS = 2000
 @pytest.fixture(scope="module")
 def matching_scan():
     return threshold_scan(K2, [12, 16, 20], trials=SCAN_TRIALS, seed=2468,
-                          property_name="factor", check_chain=True)
+                          property_name="factor")
 
 
 def test_criterion_9_threshold_scaling(matching_scan):

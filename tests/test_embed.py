@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from conftest import graph_hosts, graph_patterns
-from oracles import injection_copies
+from oracles import block_embeddings, injection_copies
 
 from hfactor.embed import (
     ConstraintSpec,
@@ -15,6 +15,7 @@ from hfactor.embed import (
     enumerate_copies,
     expected_copy_degree,
     full_constraint,
+    host_blocks,
     regularity_report,
     role_images,
 )
@@ -71,6 +72,9 @@ def test_copy_degree_sum_identity(p, g):
 def test_copy_degrees_fast_paths():
     g = sample_gnp(2, 12, 0.5, 3)
     assert copy_degrees(K3, g) == [copy_degree(K3, g, x) for x in range(12)]
+    k4 = complete_pattern(4)
+    g4 = sample_gnp(2, 12, 0.7, 4)
+    assert copy_degrees(k4, g4) == [copy_degree(k4, g4, x) for x in range(12)]
     h3 = sample_gnp(3, 8, 0.4, 5)
     e3 = single_edge_pattern(3)
     assert copy_degrees(e3, h3) == [copy_degree(e3, h3, x) for x in range(8)]
@@ -215,3 +219,19 @@ def test_constrained_count_matches_injection_oracle(p):
                     continue
                 want = sum(1 for c in injections if all(c[a] == x for a, x in pins))
                 assert constrained_count(p, g, ConstraintSpec(pins, sub)) == want
+
+
+@pytest.mark.parametrize(
+    "p", DIFF_PATTERNS + [complete_pattern(4)], ids=lambda p: f"k{p.k}v{p.v}m{p.m}"
+)
+def test_host_blocks_match_block_oracle(p):
+    # blocks and multiplicities from permutations of every v-subset, in
+    # lexicographic order; K2 takes the single-edge path, K3 and K4 the clique
+    # search, the other patterns grouped copies
+    for g in _diff_hosts(p) + [complete_host(p.k, 7)]:
+        want = [
+            (b, block_embeddings(p, g, b))
+            for b in itertools.combinations(range(g.n), p.v)
+            if block_embeddings(p, g, b)
+        ]
+        assert host_blocks(p, g) == want

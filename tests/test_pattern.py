@@ -110,6 +110,12 @@ def test_automorphism_counts():
     assert automorphism_count(single_edge_pattern(3)) == 6
     assert automorphism_count(complete_pattern(4)) == 24
     assert automorphism_count(cycle_pattern(5)) == 10
+    for p in (
+        pattern_from_edges(3, 4, [(0, 1, 2), (1, 2, 3)]),
+        pattern_from_edges(3, 5, [(0, 1, 2), (2, 3, 4)]),
+        pattern_from_edges(2, 4, [(0, 1), (1, 2)]),  # vertex 3 isolated
+    ):
+        assert automorphism_count(p) == automorphisms_bruteforce(p)
 
 
 @given(graph_patterns(max_v=6))
