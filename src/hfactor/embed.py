@@ -343,7 +343,7 @@ def regularity_report(
                             skipped += 1
                             continue
                         f = CopyPolynomial(pattern=pattern, n=n, anchor=spec)
-                        prof = derivative_profile(f, p, work_cap=work_cap)
+                        prof = derivative_profile(f, p)
                         e_star = prof["e_star"]
                         x_val = constrained_count(pattern, g, spec)
                         if e_star <= low_threshold:

@@ -2,8 +2,13 @@
 
 A copy polynomial is determined implicitly by (pattern, host size, anchor):
 its terms are the edge images of the anchored injections, never an explicit
-coefficient map.  Derivative expectations are computed by enumerating the
-injections once and histogramming subsets of their edge images.
+coefficient map.  Derivative expectations come from per-edge-set counts.  The
+complete host is symmetric apart from the pin images, so the coefficient sum
+over the terms containing a host-edge set F is a constrained count on the
+host made of F alone, summed over the constrained edge sets S' that an
+injection can carry onto F.  The maximum for each derivative order is taken
+over the canonical images of the constrained edge subsets, so the number of
+counts depends on the pattern alone and the host is never enumerated.
 
 Two bases are supported.  The injection basis keeps one term per injection
 (coefficients can exceed 1 where injections share an edge image, so the
@@ -15,16 +20,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from collections import defaultdict
 
 from .errors import InputError
 from .embed import ConstraintSpec, full_constraint, constrained_count
-from .host import HostGraph, complete_host, sample_gnp
+from .host import HostGraph, host_from_edges, sample_gnp
 from .pattern import PatternGraph
 from .rng import derive_seed
 
-DEFAULT_WORK_CAP = 5_000_000
 THEOREMS = ("all-order", "absolute-low-order", "relative-low-order", "upper-tail", "nonconstant-relative", "nonconstant-upper-tail", "small-ceiling")
 
 
@@ -48,82 +52,81 @@ class CopyPolynomial:
         return len(self.spec.constrained_edges)
 
 
-def _anchored_injections(f: CopyPolynomial):
-    """Yield (injection as dict over constrained vertices, edge image frozenset)."""
+def _injection_count(f: CopyPolynomial, fixed) -> int:
+    """Injection-basis coefficient sum over the terms containing the host edges ``fixed``.
+
+    An injection whose edge image contains ``fixed`` carries exactly one set
+    S' of constrained edges onto it, so the sum runs over the S' of that size
+    on the host whose only edges are ``fixed``.  An S' whose degrees differ
+    from those of ``fixed`` counts nothing and is skipped.
+    """
+    host = host_from_edges(f.pattern.k, f.n, fixed)
     spec = f.spec
-    pins = dict(spec.pins)
-    constrained = set(pins)
-    for e in spec.constrained_edges:
-        constrained.update(e)
-    free_slots = sorted(constrained - set(pins))
-    hosts = [x for x in range(f.n) if x not in set(pins.values())]
-    for choice in itertools.permutations(hosts, len(free_slots)):
-        img = dict(pins)
-        img.update(zip(free_slots, choice))
-        edge_image = frozenset(
-            tuple(sorted(img[x] for x in e)) for e in spec.constrained_edges
-        )
-        yield img, edge_image
+    shape = _degree_shape(host.edges, [x for _, x in spec.pins])
+    return sum(
+        constrained_count(f.pattern, host, ConstraintSpec(spec.pins, sub))
+        for sub in itertools.combinations(spec.constrained_edges, host.m)
+        if _degree_shape(sub, spec.pinned_vertices) == shape
+    )
 
 
-def _term_multiplier(f: CopyPolynomial) -> int:
-    """Injections of unconstrained pattern vertices, a plain falling factorial."""
-    spec = f.spec
-    constrained = set(spec.pinned_vertices)
-    for e in spec.constrained_edges:
-        constrained.update(e)
-    return math.perm(f.n - len(constrained), f.pattern.v - len(constrained))
+def _degree_shape(edges, pinned) -> tuple:
+    """The degrees of the pinned vertices in order, then the sorted degrees of the rest.
+
+    A bijection carrying one edge set onto another, pins onto their images,
+    keeps this.
+    """
+    deg = Counter(x for e in edges for x in e)
+    return tuple(deg.pop(a, 0) for a in pinned), sorted(deg.values())
 
 
-def _check_work(f: CopyPolynomial, work_cap: int) -> None:
-    spec = f.spec
-    constrained = set(spec.pinned_vertices)
-    for e in spec.constrained_edges:
-        constrained.update(e)
-    work = math.perm(f.n, len(constrained) - len(spec.pins)) * 2**f.degree
-    if work > work_cap:
-        raise InputError(
-            f"derivative enumeration needs about {work} steps, over the cap {work_cap}"
-        )
+def _canonical_image(f: CopyPolynomial, sub) -> tuple[tuple[int, ...], ...]:
+    """Sorted host edges of ``sub``: pins at their images, other vertices at the smallest free labels."""
+    label = dict(f.spec.pins)
+    images = set(label.values())
+    fresh = (x for x in range(f.n) if x not in images)
+    out = []
+    for e in sub:
+        for a in e:
+            if a not in label:
+                label[a] = next(fresh)
+        out.append(tuple(sorted(label[a] for a in e)))
+    return tuple(sorted(out))
 
 
-def _edge_image_terms(f: CopyPolynomial) -> dict[frozenset, int]:
-    """Coefficient of each full edge image (term of the polynomial)."""
-    terms: dict[frozenset, int] = defaultdict(int)
-    for _, edge_image in _anchored_injections(f):
-        terms[edge_image] += 1
-    mult = _term_multiplier(f)
-    if f.collapse:
-        return {u: 1 for u in terms} if mult > 0 else {}
-    return {u: c * mult for u, c in terms.items()}
+def _basis_unit(f: CopyPolynomial) -> int:
+    """The injection-basis coefficient that makes one term of f's basis.
+
+    That is 1, or with ``collapse`` the free-vertex factorial times |Aut_P|:
+    Aut_P are the permutations of the constrained vertices that fix the pins
+    and map the constrained edges onto themselves, and each distinct edge
+    image is hit by exactly that many injections.
+    """
+    if not f.collapse:
+        return 1
+    return _injection_count(f, _canonical_image(f, f.spec.constrained_edges))
 
 
 def expectation(f: CopyPolynomial, p: float) -> float:
     """Sum over terms of coefficient times p^degree."""
     if not 0.0 <= p <= 1.0:
         raise InputError(f"p must lie in [0, 1], got {p}")
-    d = f.degree
-    if f.collapse:
-        return sum(_edge_image_terms(f).values()) * p**d
-    return constrained_count(f.pattern, complete_host(f.pattern.k, f.n), f.spec) * p**d
+    return _injection_count(f, ()) // _basis_unit(f) * p**f.degree
 
 
 def derivative_expectation(f: CopyPolynomial, fixed_edges, p: float) -> float:
     """Expectation of the partial derivative with respect to the given host edges."""
     if not 0.0 <= p <= 1.0:
         raise InputError(f"p must lie in [0, 1], got {p}")
-    fixed = frozenset(tuple(sorted(e)) for e in fixed_edges)
+    fixed = {tuple(sorted(e)) for e in fixed_edges}
     if len(fixed) > f.degree:
         raise InputError("more fixed edges than the polynomial degree")
     if not fixed:
         return expectation(f, p)
-    hits = sum(
-        c for u, c in _edge_image_terms(f).items() if fixed <= u
-    )
-    return hits * p ** (f.degree - len(fixed))
+    return _injection_count(f, fixed) // _basis_unit(f) * p ** (f.degree - len(fixed))
 
 
-def derivative_profile(f: CopyPolynomial, p: float, work_cap: int = DEFAULT_WORK_CAP) -> dict:
+def derivative_profile(f: CopyPolynomial, p: float) -> dict:
     """Max derivative expectations by order, plus the below-degree ceiling.
 
     e_star is the max over all fixed edge sets of size < degree (the empty
@@ -135,41 +138,30 @@ def derivative_profile(f: CopyPolynomial, p: float, work_cap: int = DEFAULT_WORK
     """
     if not 0.0 <= p <= 1.0:
         raise InputError(f"p must lie in [0, 1], got {p}")
-    _check_work(f, work_cap)
-    terms = _edge_image_terms(f)
     d = f.degree
-    sub_counts: list[dict[frozenset, int]] = [dict() for _ in range(d + 1)]
-    for u, c in terms.items():
-        edges = sorted(u)
-        for j in range(1, d + 1):
-            bucket = sub_counts[j]
-            for sub in itertools.combinations(edges, j):
-                key = frozenset(sub)
-                bucket[key] = bucket.get(key, 0) + c
-    e0 = sum(terms.values()) * p**d
-    e_by_order = {}
-    max_coeff = max(terms.values(), default=0)
-    for j in range(1, d + 1):
-        best = max(sub_counts[j].values(), default=0)
-        e_by_order[j] = best * p ** (d - j)
+    edges = f.spec.constrained_edges
+    unit = _basis_unit(f)
+    # every host-edge set with a positive count is equivalent, under the host
+    # permutations fixing the pin images, to a canonical image
+    best = []
+    for j in range(d + 1):
+        images = {_canonical_image(f, sub) for sub in itertools.combinations(edges, j)}
+        best.append(max(_injection_count(f, img) for img in images) // unit)
+    e0 = best[0] * p**d
+    e_by_order = {j: best[j] * p ** (d - j) for j in range(1, d + 1)}
     e_star = max([e0] + [e_by_order[j] for j in range(1, d)], default=e0)
     eprime_max = max((e_by_order[j] for j in range(1, d)), default=0.0)
     min_exponent = None
-    if e0 > 0 and f.n > 1:
-        ratios = [
-            e0 / (c * p ** (d - j))
-            for j in range(1, d)
-            for c in sub_counts[j].values()
-        ]
-        if ratios:
-            min_exponent = math.log(min(ratios)) / math.log(f.n)
+    if e0 > 0 and f.n > 1 and d > 1:
+        # the smallest ratio of each order is the one over its largest count
+        min_exponent = math.log(min(e0 / e_by_order[j] for j in range(1, d))) / math.log(f.n)
     return {
         "degree": d,
         "expectation": e0,
         "e_by_order": e_by_order,
         "e_star": e_star,
         "eprime_max": eprime_max,
-        "normalization": max_coeff,
+        "normalization": best[d],
         "min_exponent": min_exponent,
     }
 
@@ -181,7 +173,6 @@ def hypothesis_check(
     theorem: str,
     omega_threshold: float | None = None,
     a_bound: float | None = None,
-    work_cap: int = DEFAULT_WORK_CAP,
 ) -> dict:
     """Evaluate the quantitative hypothesis of one concentration statement.
 
@@ -200,7 +191,7 @@ def hypothesis_check(
         raise InputError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
     if eps <= 0:
         raise InputError("eps must be positive")
-    prof = derivative_profile(f, p, work_cap=work_cap)
+    prof = derivative_profile(f, p)
     n, d = f.n, prof["degree"]
     if omega_threshold is None:
         omega_threshold = 10.0 * math.log(n)
@@ -260,14 +251,7 @@ def evaluate(f: CopyPolynomial, g: HostGraph) -> int:
     """Exact value of the polynomial on a concrete host."""
     if g.n != f.n or g.k != f.pattern.k:
         raise InputError("host does not match the polynomial's shape")
-    if not f.collapse:
-        return constrained_count(f.pattern, g, f.spec)
-    edge_set = g.edge_set
-    seen = set()
-    for _, edge_image in _anchored_injections(f):
-        if edge_image not in seen and all(frozenset(e) in edge_set for e in edge_image):
-            seen.add(edge_image)
-    return len(seen)
+    return constrained_count(f.pattern, g, f.spec) // _basis_unit(f)
 
 
 def _trial_worker(payload) -> int:

@@ -1,7 +1,9 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here enumerates without memoization or pruning shortcuts, so it
-stays independent of the code paths it validates.  The one Monte Carlo
+stays independent of the code paths it validates.  The copy-polynomial
+oracles enumerate every anchored injection into the complete host and
+histogram the subsets of their edge images.  The one Monte Carlo
 reference, ``binomial_mixture_estimate``, is built from the fixed-size model
 alone, so it checks the independent-edge model through the identity that
 couples the two.
@@ -9,7 +11,9 @@ couples the two.
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 from hfactor.factor import has_factor
 from hfactor.host import HostGraph, sample_gnm, total_edges
@@ -134,3 +138,84 @@ def binomial_mixture_estimate(p: PatternGraph, n: int, prob: float, trials: int,
         hits += has_factor(p, sample_gnm(p.k, n, m_edges, derive_seed(seed, 6, t)))
     est = hits / trials
     return est, math.sqrt(est * (1.0 - est) / trials)
+
+
+def anchored_injections(f):
+    """Yield (injection over the constrained vertices, edge image) for a CopyPolynomial f."""
+    spec = f.spec
+    pins = dict(spec.pins)
+    constrained = set(pins)
+    for e in spec.constrained_edges:
+        constrained.update(e)
+    free_slots = sorted(constrained - set(pins))
+    hosts = [x for x in range(f.n) if x not in set(pins.values())]
+    for choice in itertools.permutations(hosts, len(free_slots)):
+        img = dict(pins)
+        img.update(zip(free_slots, choice))
+        edge_image = frozenset(tuple(sorted(img[x] for x in e)) for e in spec.constrained_edges)
+        yield img, edge_image
+
+
+@lru_cache(maxsize=64)
+def edge_image_terms(f) -> dict:
+    """Coefficient of each full edge image (term of the polynomial) in f's basis."""
+    terms = Counter(edge_image for _, edge_image in anchored_injections(f))
+    constrained = set(f.spec.pinned_vertices)
+    for e in f.spec.constrained_edges:
+        constrained.update(e)
+    mult = math.perm(f.n - len(constrained), f.pattern.v - len(constrained))
+    if f.collapse:
+        return {u: 1 for u in terms} if mult > 0 else {}
+    return {u: c * mult for u, c in terms.items()}
+
+
+@lru_cache(maxsize=64)
+def _subset_histogram(f) -> list:
+    """Per order j, the coefficient sum over the terms containing each j-set of host edges."""
+    sub_counts = [Counter() for _ in range(f.degree + 1)]
+    for u, c in edge_image_terms(f).items():
+        edges = sorted(u)
+        for j in range(1, f.degree + 1):
+            for sub in itertools.combinations(edges, j):
+                sub_counts[j][frozenset(sub)] += c
+    return sub_counts
+
+
+def derivative_expectation_bruteforce(f, fixed_edges, p: float) -> float:
+    fixed = frozenset(tuple(sorted(e)) for e in fixed_edges)
+    hits = sum(c for u, c in edge_image_terms(f).items() if fixed <= u)
+    return hits * p ** (f.degree - len(fixed))
+
+
+def derivative_profile_bruteforce(f, p: float) -> dict:
+    """The derivative profile from the explicit term histogram."""
+    terms = edge_image_terms(f)
+    sub_counts = _subset_histogram(f)
+    d = f.degree
+    e0 = sum(terms.values()) * p**d
+    e_by_order = {}
+    for j in range(1, d + 1):
+        e_by_order[j] = max(sub_counts[j].values(), default=0) * p ** (d - j)
+    e_star = max([e0] + [e_by_order[j] for j in range(1, d)], default=e0)
+    eprime_max = max((e_by_order[j] for j in range(1, d)), default=0.0)
+    min_exponent = None
+    if e0 > 0 and f.n > 1:
+        ratios = [e0 / (c * p ** (d - j)) for j in range(1, d) for c in sub_counts[j].values()]
+        if ratios:
+            min_exponent = math.log(min(ratios)) / math.log(f.n)
+    return {
+        "degree": d,
+        "expectation": e0,
+        "e_by_order": e_by_order,
+        "e_star": e_star,
+        "eprime_max": eprime_max,
+        "normalization": max(terms.values(), default=0),
+        "min_exponent": min_exponent,
+    }
+
+
+def evaluate_bruteforce(f, g: HostGraph) -> int:
+    """Coefficient sum of the terms whose edges are all present in g."""
+    return sum(
+        c for u, c in edge_image_terms(f).items() if all(frozenset(e) in g.edge_set for e in u)
+    )

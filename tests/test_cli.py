@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -173,6 +174,34 @@ def test_regularity(k3_file, capsys):
     assert code == 0
     rep = json.loads(out)
     assert "part_a" in rep and "part_b" in rep
+
+
+POLY_ANCHORED = ["poly", "--n", "8", "--p", "0.5", "--anchor-role", "0", "--anchor-vertex", "0"]
+POLY_CHECK = ["--mode", "check", "--theorem", "all-order", "--eps", "0.3"]
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (["regularity", "--n", "12", "--p", "0.8", "--seed", "3", "--eps", "0.5", "--beta", "20"],
+         "e28338285e4986aaacf5cf1537356f17f7b9a1f9e75120fe968796207f8bbfff"),
+        (POLY_ANCHORED + ["--mode", "profile"],
+         "aa10d3432370df4141032ff27a2d8710f373baf27a668a332cefa6b4c258a2b0"),
+        (POLY_ANCHORED + POLY_CHECK,
+         "23c770418abc5512fe9eb16a5ae64e13d03e854738c168fe719b1f215d653d95"),
+        (POLY_ANCHORED + ["--mode", "profile", "--collapse"],
+         "de5cf4fb671f2bb72465bb1660b3a76faea36c633c35365c15e66ec1c7b3af9f"),
+        (POLY_ANCHORED + POLY_CHECK + ["--collapse"],
+         "60dbb688076392345e475457a393323ef65b182243f1172f620048ed7ed9c692"),
+    ],
+    ids=["regularity", "poly-profile", "poly-check", "poly-profile-collapse", "poly-check-collapse"],
+)
+def test_golden_digests(args, digest, k3_file, capsys):
+    # SHA-256 of the stdout bytes, recorded on K3 before the derivative
+    # profile stopped enumerating the host
+    code, out, _ = run_cli(args + ["--pattern", k3_file], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_config_file_with_flag_override(k3_file, tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from hfactor.embed import ConstraintSpec, constrained_count
 from hfactor.errors import InputError
 from hfactor.host import complete_host, sample_gnp
-from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern
+from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern, pattern_from_edges
 from hfactor.polynomial import (
     CopyPolynomial,
     concentration_trial,
@@ -18,6 +18,12 @@ from hfactor.polynomial import (
     hypothesis_check,
 )
 from hfactor.rng import derive_seed
+
+from oracles import (
+    derivative_expectation_bruteforce,
+    derivative_profile_bruteforce,
+    evaluate_bruteforce,
+)
 
 K2 = complete_pattern(2)
 K3 = complete_pattern(3)
@@ -222,7 +228,88 @@ def test_sampling_battery_means():
                     assert abs(rep["empirical_mean"] - rep["expectation"]) <= 4 * se
 
 
-def test_work_cap():
+def test_profile_large_n_closed_forms():
+    # K3 at n=200 was over the old enumeration cap; the counts are closed forms
     f = CopyPolynomial(pattern=K3, n=200, anchor=None)
+    prof = derivative_profile(f, 0.1)
+    assert prof["expectation"] == 200 * 199 * 198 * 0.1**3
+    assert prof["e_by_order"] == {1: 1188 * 0.1**2, 2: 6 * 0.1, 3: 6}
+    assert prof["normalization"] == 6
+
+
+PROFILE_PATTERNS = {
+    "K3": K3,
+    "K4": complete_pattern(4),
+    "P4": path_pattern(4),
+    "C4": cycle_pattern(4),
+    "star3": pattern_from_edges(2, 4, [(0, 1), (0, 2), (0, 3)]),
+    "P3+isolated": pattern_from_edges(2, 4, [(0, 1), (1, 2)]),
+    "two-triples": pattern_from_edges(3, 5, [(0, 1, 2), (2, 3, 4)]),
+}
+
+
+def _pin_sets(pat, n):
+    """No pins, then one and two pins, each at the low and the high end of the host."""
+    return [
+        (),
+        ((0, 0),),
+        ((0, n - 1),),
+        ((0, 0), (pat.v - 1, 1)),
+        ((0, n - 1), (pat.v - 1, n - 2)),
+    ]
+
+
+def _polynomials(pat, sizes, every_subset=True):
+    """Both bases and every pin set, with every nonempty constrained subset the pins allow
+    (or only all of them)."""
+    for n in sizes:
+        for pins in _pin_sets(pat, n):
+            pinned = {a for a, _ in pins}
+            allowed = [e for e in pat.edges if not pinned.issuperset(e)]
+            subsets = [
+                sub
+                for r in (range(1, len(allowed) + 1) if every_subset else [len(allowed)])
+                for sub in itertools.combinations(allowed, r)
+            ]
+            for sub in subsets:
+                for collapse in (False, True):
+                    yield CopyPolynomial(pat, n, ConstraintSpec(pins, sub), collapse)
+
+
+@pytest.mark.parametrize("pat", PROFILE_PATTERNS.values(), ids=PROFILE_PATTERNS.keys())
+def test_profile_matches_injection_oracle(pat):
+    # exact: repr compares every float bit for bit
+    for f in _polynomials(pat, sorted({pat.v, pat.v + 1, 7})):
+        for p in (0.1, 0.37, 1.0):
+            assert repr(derivative_profile(f, p)) == repr(derivative_profile_bruteforce(f, p))
+
+
+@pytest.mark.parametrize("pat", PROFILE_PATTERNS.values(), ids=PROFILE_PATTERNS.keys())
+def test_derivative_expectation_matches_injection_oracle(pat):
+    # every set of at most two edges of a seeded host
+    g = sample_gnp(pat.k, 7, 0.5, derive_seed(77, pat.k, pat.v, pat.m))
+    fixed_sets = [sub for r in range(3) for sub in itertools.combinations(g.edges, r)]
+    for f in _polynomials(pat, [7], every_subset=False):
+        for fixed in fixed_sets:
+            if len(fixed) <= f.degree:
+                got = derivative_expectation(f, fixed, 0.37)
+                assert got == derivative_expectation_bruteforce(f, fixed, 0.37)
+
+
+@pytest.mark.parametrize("pat", PROFILE_PATTERNS.values(), ids=PROFILE_PATTERNS.keys())
+def test_evaluate_matches_injection_oracle(pat):
+    hosts = [sample_gnp(pat.k, 7, 0.6, derive_seed(78, pat.k, pat.v, t)) for t in range(4)]
+    for f in _polynomials(pat, [7], every_subset=False):
+        for g in hosts:
+            assert evaluate(f, g) == evaluate_bruteforce(f, g)
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [(0, 1, 2), (3, 3), (0, 9)],
+    ids=["wrong-arity", "repeated-vertex", "out-of-range"],
+)
+def test_derivative_expectation_rejects_bad_edges(edge):
+    f = CopyPolynomial(pattern=K3, n=6)
     with pytest.raises(InputError):
-        derivative_profile(f, 0.5, work_cap=1000)
+        derivative_expectation(f, [edge], 0.5)
