@@ -140,8 +140,8 @@ def binomial_mixture_estimate(p: PatternGraph, n: int, prob: float, trials: int,
     return est, math.sqrt(est * (1.0 - est) / trials)
 
 
-def anchored_injections(f):
-    """Yield (injection over the constrained vertices, edge image) for a CopyPolynomial f."""
+def anchored_edge_images(f):
+    """The edge image of every anchored injection of a CopyPolynomial f, one per injection."""
     spec = f.spec
     pins = dict(spec.pins)
     constrained = set(pins)
@@ -152,14 +152,13 @@ def anchored_injections(f):
     for choice in itertools.permutations(hosts, len(free_slots)):
         img = dict(pins)
         img.update(zip(free_slots, choice))
-        edge_image = frozenset(tuple(sorted(img[x] for x in e)) for e in spec.constrained_edges)
-        yield img, edge_image
+        yield frozenset(tuple(sorted(img[x] for x in e)) for e in spec.constrained_edges)
 
 
 @lru_cache(maxsize=64)
 def edge_image_terms(f) -> dict:
     """Coefficient of each full edge image (term of the polynomial) in f's basis."""
-    terms = Counter(edge_image for _, edge_image in anchored_injections(f))
+    terms = Counter(anchored_edge_images(f))
     constrained = set(f.spec.pinned_vertices)
     for e in f.spec.constrained_edges:
         constrained.update(e)

@@ -260,8 +260,10 @@ def _pin_sets(pat, n):
 
 
 def _polynomials(pat, sizes, every_subset=True):
-    """Both bases and every pin set, with every nonempty constrained subset the pins allow
-    (or only all of them)."""
+    """Both bases and every pin set, constraining each nonempty edge subset the pins allow.
+
+    Without ``every_subset``, only the whole allowed edge set is constrained.
+    """
     for n in sizes:
         for pins in _pin_sets(pat, n):
             pinned = {a for a, _ in pins}
