@@ -10,9 +10,9 @@ from .embed import (
     constrained_count,
     copy_degree,
     copy_degrees,
+    degree_regularity,
     enumerate_copies,
     expected_copy_degree,
-    regularity_report,
 )
 from .entropy import (
     WeightedFamily,
@@ -50,7 +50,6 @@ from .pattern import (
     DensityReport,
     PatternGraph,
     automorphism_count,
-    balance_class,
     complete_pattern,
     cycle_pattern,
     density,
@@ -67,6 +66,7 @@ from .polynomial import (
     derivative_profile,
     expectation,
     hypothesis_check,
+    regularity_report,
 )
 from .process import (
     ProcessTrace,

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import embed, entropy, factor, host, pattern, polynomial, process, thresholds
 from .errors import InputError, InvariantError
+from .rng import derive_seed
 
 COMMANDS = (
     "analyze", "count", "scan", "trace", "martingale-check", "shearer",
@@ -231,8 +232,6 @@ def _cmd_trace(cfg: RunConfig) -> None:
 
 def _battery_hosts(p, cfg: RunConfig):
     """Random hosts with at least one factor, resampled up to a fixed budget."""
-    from .rng import derive_seed
-
     n = _need(cfg, "n")
     prob = cfg.p if cfg.p is not None else 0.7
     hosts = []
@@ -353,7 +352,7 @@ def _cmd_regularity(cfg: RunConfig) -> None:
     else:
         g = host.sample_gnp(p.k, _need(cfg, "n"), _need(cfg, "p"), cfg.seed)
     _emit(
-        embed.regularity_report(p, g, _need(cfg, "p"), cfg.eps, cfg.beta, seed=cfg.seed),
+        polynomial.regularity_report(p, g, _need(cfg, "p"), cfg.eps, cfg.beta, seed=cfg.seed),
         cfg,
     )
 

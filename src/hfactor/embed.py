@@ -221,6 +221,27 @@ def copy_degrees(pattern: PatternGraph, g: HostGraph) -> list[int]:
     return block_degrees(g.n, host_blocks(pattern, g))
 
 
+def degree_regularity(pattern: PatternGraph, g: HostGraph, p: float, eps: float) -> dict:
+    """Largest relative deviation of the copy degrees from their expectation, flagged against eps.
+
+    This is part (b) of the regularity check; part (a) is
+    ``polynomial.regularity_report``.
+    """
+    if eps <= 0:
+        raise InputError("eps must be positive")
+    degs = copy_degrees(pattern, g)
+    expected = expected_copy_degree(pattern, g.n, p)
+    if expected > 0:
+        max_dev = max(abs(d - expected) for d in degs) / expected
+    else:
+        max_dev = math.inf if any(degs) else 0.0
+    return {
+        "expected_degree": expected,
+        "max_relative_deviation": max_dev,
+        "holds": max_dev <= eps,
+    }
+
+
 def block_degrees(n: int, blocks) -> list[int]:
     """Per-vertex sums of block multiplicities over (vertices, copies) pairs."""
     degs = [0] * n
@@ -266,116 +287,3 @@ def expected_copy_degree(pattern: PatternGraph, n: int, p: float) -> float:
     if n < pattern.v:
         raise InputError(f"need n >= {pattern.v}")
     return pattern.v * math.perm(n - 1, pattern.v - 1) * p**pattern.m
-
-
-def regularity_report(
-    pattern: PatternGraph,
-    g: HostGraph,
-    p: float,
-    eps: float,
-    beta: float,
-    seed: int = 0,
-    psi_cap: int = 24,
-    work_cap: int = 200_000,
-    include_part_a: bool = True,
-) -> dict:
-    """Two-part regularity check of a host against the independent-edge model.
-
-    Part (b): the largest relative deviation of per-vertex copy counts from
-    their expectation, flagged against eps.  Part (a): for a family of pinned,
-    edge-constrained embedding counts X, compare X against beta when the
-    derivative-expectation ceiling E* is below n^-eps, and against n^eps * E*
-    otherwise.  The family enumerates every pin set A and every nonempty
-    constrained edge subset; pin images are sampled (seeded) once their number
-    exceeds psi_cap, and cases whose enumeration work exceeds work_cap are
-    skipped.  The report states which regime ran.
-    """
-    from .polynomial import CopyPolynomial, derivative_profile
-    from .rng import rng_for
-
-    if eps <= 0 or beta <= 0:
-        raise InputError("eps and beta must be positive")
-    _check_arity(pattern, g)
-    n = g.n
-
-    degs = copy_degrees(pattern, g)
-    expected = expected_copy_degree(pattern, n, p)
-    if expected > 0:
-        max_dev = max(abs(d - expected) for d in degs) / expected
-    else:
-        max_dev = math.inf if any(degs) else 0.0
-    part_b = {
-        "expected_degree": expected,
-        "max_relative_deviation": max_dev,
-        "holds": max_dev <= eps,
-    }
-
-    if not include_part_a:
-        return {
-            "n": n,
-            "p": p,
-            "eps": eps,
-            "beta": beta,
-            "part_a": {"regime": "skipped", "family_size": 0, "cases": []},
-            "part_b": part_b,
-        }
-
-    rng = rng_for(seed)
-    low_threshold = n ** (-eps)
-    cases = []
-    skipped = 0
-    exhaustive_psi = True
-    for a_size in range(0, pattern.v + 1):
-        for a_set in itertools.combinations(range(pattern.v), a_size):
-            allowed = [e for e in pattern.edges if not set(a_set).issuperset(e)]
-            for r in range(1, len(allowed) + 1):
-                for eprime in itertools.combinations(allowed, r):
-                    n_psi = math.perm(n, a_size)
-                    if n_psi <= psi_cap:
-                        psis = list(itertools.permutations(range(n), a_size))
-                    else:
-                        exhaustive_psi = False
-                        psis = [tuple(rng.sample(range(n), a_size)) for _ in range(min(psi_cap, n_psi))]
-                    for psi in psis:
-                        spec = ConstraintSpec(tuple(zip(a_set, psi)), eprime)
-                        work = math.perm(n - a_size, pattern.v - a_size) * 2 ** len(eprime)
-                        if work > work_cap:
-                            skipped += 1
-                            continue
-                        f = CopyPolynomial(pattern=pattern, n=n, anchor=spec)
-                        prof = derivative_profile(f, p)
-                        e_star = prof["e_star"]
-                        x_val = constrained_count(pattern, g, spec)
-                        if e_star <= low_threshold:
-                            bound = beta
-                            branch = "small_expectation"
-                        else:
-                            bound = n**eps * e_star
-                            branch = "large_expectation"
-                        # raw numbers plus the flags of BOTH branches: at a
-                        # fixed n the branch boundary is a judgment call, so
-                        # callers get everything
-                        cases.append(
-                            {
-                                "pins": spec.pins,
-                                "constrained_edges": spec.constrained_edges,
-                                "x": x_val,
-                                "e_star": e_star,
-                                "low_threshold": low_threshold,
-                                "branch": branch,
-                                "bound": bound,
-                                "holds_small_branch": x_val < beta,
-                                "holds_large_branch": x_val < n**eps * e_star,
-                                "holds": x_val < bound,
-                            }
-                        )
-    part_a = {
-        "regime": "exhaustive_pins" if exhaustive_psi else "sampled_pins",
-        "family_size": len(cases),
-        "skipped_over_work_cap": skipped,
-        "psi_cap": psi_cap,
-        "work_cap": work_cap,
-        "all_hold": all(c["holds"] for c in cases),
-        "cases": cases,
-    }
-    return {"n": n, "p": p, "eps": eps, "beta": beta, "part_a": part_a, "part_b": part_b}

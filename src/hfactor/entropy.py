@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .embed import enumerate_copies
 from .errors import InputError, InvariantError, NoFactorError
 from .factor import FactorCounter
 from .host import HostGraph, mask_bits
@@ -70,8 +71,6 @@ def _entropy_from_weights(weights, total) -> float:
 
 def copy_distribution(pattern: PatternGraph, g: HostGraph, y: int) -> CopyDistribution:
     """Exact copy-at-y distribution; copies that extend to no factor are dropped."""
-    from .embed import enumerate_copies
-
     if not 0 <= y < g.n:
         raise InputError(f"vertex {y} out of range")
     counter = FactorCounter(pattern, g)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
-from .pattern import PatternGraph, check_divisible
+from .parallel import run_trials
+from .pattern import PatternGraph, _parse_edge, _parse_int, _split_header, check_divisible
 from .rng import derive_seed, rng_for
 
 MAX_HOST_VERTICES_SAMPLING = 10_000
@@ -102,8 +103,6 @@ def complete_host(k: int, n: int) -> HostGraph:
 
 def parse_host(text: str) -> HostGraph:
     """Host file format: identical to the pattern format with n in the header."""
-    from .pattern import _parse_edge, _parse_int, _split_header
-
     header, lines = _split_header(text)
     if header[0] == "graph" and len(header) == 2:
         k, n = 2, _parse_int(header[1])
@@ -220,8 +219,6 @@ def compare_models(
     probabilities, not their value at one M.  With ``sweep`` the fixed-size
     estimate is repeated at half and double M.
     """
-    from .parallel import run_trials
-
     check_divisible(pattern, n)
     if trials < 1:
         raise InputError("need at least one trial")

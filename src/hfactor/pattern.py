@@ -216,10 +216,6 @@ def density_profile(p: PatternGraph) -> DensityReport:
     )
 
 
-def balance_class(p: PatternGraph) -> Balance:
-    return density_profile(p).balance
-
-
 def automorphism_count(p: PatternGraph) -> int:
     """Number of vertex permutations mapping the edge set onto itself.
 

@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from .embed import expected_copy_degree
 from .errors import InputError, InvariantError
-from .factor import FactorCounter, check_cap
+from .factor import FactorCounter, check_cap, edge_fraction
 from .host import HostGraph, complete_host, random_ordering, total_edges
+from .parallel import run_trials
 from .pattern import PatternGraph, check_divisible
 from .rng import derive_seed
 
@@ -186,8 +187,6 @@ def verify_martingale_step(pattern: PatternGraph, g: HostGraph) -> tuple[Fractio
     This is the one-step conditional-mean identity with the conditioning
     realized as the current graph.
     """
-    from .factor import edge_fraction
-
     counter = FactorCounter(pattern, g)
     total = counter.count()
     if total == 0:
@@ -218,8 +217,6 @@ def tail_experiment(
     workers: int = 1,
 ) -> dict:
     """Empirical tail of max_t |x_partial| over independent traces."""
-    from .parallel import run_trials
-
     if trials < 1:
         raise InputError("need at least one trial")
     payloads = [

@@ -20,6 +20,8 @@ from .pattern import PatternGraph, check_divisible, density_profile
 from .rng import derive_seed
 
 PROPERTIES = ("factor", "coverage", "role")
+ROUNDS = 12  # bisection rounds per n: the bracket ends 2^-12 wide
+WILSON_Z = 1.96  # the two-sided 95% normal quantile
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,10 @@ def _roles_cover(realized: list[set[int]], n: int) -> bool:
     return _covers(realized, n) and all(len(s) >= quota for s in realized)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     if trials <= 0:
         raise InputError("trials must be positive")
+    z = WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -106,7 +109,6 @@ def threshold_scan(
     target: float = 0.5,
     seed: int = 0,
     property_name: str = "factor",
-    rounds: int = 12,
     workers: int = 1,
 ) -> list[ThresholdEstimate]:
     """Bisection estimate of the density where Pr(property) crosses target.
@@ -119,8 +121,6 @@ def threshold_scan(
     """
     if trials < 1:
         raise InputError("need at least one trial per probe")
-    if rounds < 12:
-        raise InputError("bisection needs at least 12 rounds")
     if not 0.0 < target < 1.0:
         raise InputError("target must be strictly between 0 and 1")
     if property_name not in PROPERTIES:
@@ -134,7 +134,7 @@ def threshold_scan(
         lo, hi = 0.0, 1.0
         probes = []
         violations = 0
-        for rnd in range(rounds):
+        for rnd in range(ROUNDS):
             mid = (lo + hi) / 2.0
             payloads = [
                 (pattern, n, mid, property_name, derive_seed(seed, n_index, rnd, t))

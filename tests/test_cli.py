@@ -8,6 +8,7 @@ from hfactor.cli import main
 
 K3_TEXT = "graph 3\n0 1\n1 2\n0 2\n"
 K2_TEXT = "graph 2\n0 1\n"
+P3_TEXT = "graph 3\n0 1\n1 2\n"
 
 
 @pytest.fixture
@@ -180,26 +181,38 @@ POLY_ANCHORED = ["poly", "--n", "8", "--p", "0.5", "--anchor-role", "0", "--anch
 POLY_CHECK = ["--mode", "check", "--theorem", "all-order", "--eps", "0.3"]
 
 
+REGULARITY_N40 = ["regularity", "--n", "40", "--p", "0.3", "--seed", "3", "--eps", "0.5", "--beta", "20"]
+
+
 @pytest.mark.parametrize(
-    "args,digest",
+    "args,pattern_text,digest",
     [
         (["regularity", "--n", "12", "--p", "0.8", "--seed", "3", "--eps", "0.5", "--beta", "20"],
-         "e28338285e4986aaacf5cf1537356f17f7b9a1f9e75120fe968796207f8bbfff"),
+         K3_TEXT, "e28338285e4986aaacf5cf1537356f17f7b9a1f9e75120fe968796207f8bbfff"),
+        (REGULARITY_N40, K3_TEXT,
+         "ada85b7e8eee3c2ba2c693ca438060b1df840c399362fb27edb05c0f2bbb759b"),
+        (REGULARITY_N40, P3_TEXT,
+         "c512eefa82c92f84e5097dc4567001fe49343322a28a1f5f29806b3803170aee"),
         (POLY_ANCHORED + ["--mode", "profile"],
-         "aa10d3432370df4141032ff27a2d8710f373baf27a668a332cefa6b4c258a2b0"),
+         K3_TEXT, "aa10d3432370df4141032ff27a2d8710f373baf27a668a332cefa6b4c258a2b0"),
         (POLY_ANCHORED + POLY_CHECK,
-         "23c770418abc5512fe9eb16a5ae64e13d03e854738c168fe719b1f215d653d95"),
+         K3_TEXT, "23c770418abc5512fe9eb16a5ae64e13d03e854738c168fe719b1f215d653d95"),
         (POLY_ANCHORED + ["--mode", "profile", "--collapse"],
-         "de5cf4fb671f2bb72465bb1660b3a76faea36c633c35365c15e66ec1c7b3af9f"),
+         K3_TEXT, "de5cf4fb671f2bb72465bb1660b3a76faea36c633c35365c15e66ec1c7b3af9f"),
         (POLY_ANCHORED + POLY_CHECK + ["--collapse"],
-         "60dbb688076392345e475457a393323ef65b182243f1172f620048ed7ed9c692"),
+         K3_TEXT, "60dbb688076392345e475457a393323ef65b182243f1172f620048ed7ed9c692"),
     ],
-    ids=["regularity", "poly-profile", "poly-check", "poly-profile-collapse", "poly-check-collapse"],
+    ids=["regularity", "regularity-k3-n40", "regularity-p3-n40", "poly-profile", "poly-check",
+         "poly-profile-collapse", "poly-check-collapse"],
 )
-def test_golden_digests(args, digest, k3_file, capsys):
-    # SHA-256 of the stdout bytes, recorded on K3 before the derivative
-    # profile stopped enumerating the host
-    code, out, _ = run_cli(args + ["--pattern", k3_file], capsys)
+def test_golden_digests(args, pattern_text, digest, tmp_path, capsys):
+    # SHA-256 of the stdout bytes, recorded before the derivative profile
+    # stopped enumerating the host (K3 at n=12 and the poly runs) and before
+    # the regularity report computed one profile per (A, E') (the n=40 runs,
+    # which sample pin images and skip cases over the work cap)
+    path = tmp_path / "pattern.txt"
+    path.write_text(pattern_text)
+    code, out, _ = run_cli(args + ["--pattern", str(path)], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

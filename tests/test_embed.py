@@ -12,16 +12,17 @@ from hfactor.embed import (
     constrained_count,
     copy_degree,
     copy_degrees,
+    degree_regularity,
     enumerate_copies,
     expected_copy_degree,
     full_constraint,
     host_blocks,
-    regularity_report,
     role_images,
 )
 from hfactor.errors import InputError
 from hfactor.host import complete_host, host_from_edges, sample_gnp
 from hfactor.pattern import complete_pattern, pattern_from_edges, single_edge_pattern
+from hfactor.polynomial import regularity_report
 from hfactor.rng import derive_seed, rng_for
 
 K2 = complete_pattern(2)
@@ -144,17 +145,15 @@ def test_copy_degree_mean_matches_expectation():
 
 
 def test_regularity_part_b_complete():
-    rep = regularity_report(K3, complete_host(2, 8), 1.0, eps=0.5, beta=10.0,
-                            include_part_a=False)
-    assert rep["part_b"]["max_relative_deviation"] == 0.0
-    assert rep["part_b"]["holds"]
+    rep = degree_regularity(K3, complete_host(2, 8), 1.0, eps=0.5)
+    assert rep["max_relative_deviation"] == 0.0
+    assert rep["holds"]
 
 
 def test_regularity_part_b_empty():
-    rep = regularity_report(K3, host_from_edges(2, 6, []), 0.5, eps=0.5, beta=10.0,
-                            include_part_a=False)
-    assert rep["part_b"]["max_relative_deviation"] == 1.0
-    assert not rep["part_b"]["holds"]
+    rep = degree_regularity(K3, host_from_edges(2, 6, []), 0.5, eps=0.5)
+    assert rep["max_relative_deviation"] == 1.0
+    assert not rep["holds"]
 
 
 def test_regularity_part_a_complete_small():
@@ -171,8 +170,8 @@ def test_regularity_part_b_sampled_battery():
     hits = 0
     for t in range(50):
         g = sample_gnp(2, n, p, derive_seed(2024, t))
-        rep = regularity_report(K3, g, p, eps=0.3, beta=10.0, include_part_a=False)
-        hits += rep["part_b"]["max_relative_deviation"] <= 0.3
+        rep = degree_regularity(K3, g, p, eps=0.3)
+        hits += rep["max_relative_deviation"] <= 0.3
     assert hits >= 48
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from hfactor.embed import ConstraintSpec, constrained_count
 from hfactor.errors import InputError
+from hfactor import polynomial
 from hfactor.host import complete_host, sample_gnp
 from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern, pattern_from_edges
 from hfactor.polynomial import (
@@ -16,6 +17,7 @@ from hfactor.polynomial import (
     evaluate,
     expectation,
     hypothesis_check,
+    regularity_report,
 )
 from hfactor.rng import derive_seed
 
@@ -304,6 +306,40 @@ def test_evaluate_matches_injection_oracle(pat):
     for f in _polynomials(pat, [7], every_subset=False):
         for g in hosts:
             assert evaluate(f, g) == evaluate_bruteforce(f, g)
+
+
+REGULARITY_PATTERNS = {
+    "K3": K3,
+    "P3": path_pattern(3),
+    "C4": cycle_pattern(4),
+    "two-triples": pattern_from_edges(3, 5, [(0, 1, 2), (2, 3, 4)]),
+}
+
+
+@pytest.mark.parametrize("pat", REGULARITY_PATTERNS.values(), ids=REGULARITY_PATTERNS.keys())
+def test_regularity_e_star_is_each_case_profile(pat):
+    # at n=7 the images of one pin are listed and those of two or more are
+    # sampled, so the cases of one (A, E') carry different pin images
+    g = sample_gnp(pat.k, 7, 0.5, derive_seed(79, pat.k, pat.v, pat.m))
+    rep = regularity_report(pat, g, 0.5, eps=0.5, beta=20.0, seed=2)
+    assert rep["part_a"]["regime"] == "sampled_pins"
+    for case in rep["part_a"]["cases"]:
+        f = CopyPolynomial(pat, 7, ConstraintSpec(case["pins"], case["constrained_edges"]))
+        assert case["e_star"] == derivative_profile(f, 0.5)["e_star"]
+
+
+def test_regularity_profiles_once_per_pin_set_and_edge_subset(monkeypatch):
+    calls = []
+
+    def counted(f, p):
+        calls.append(f.spec)
+        return derivative_profile(f, p)
+
+    monkeypatch.setattr(polynomial, "derivative_profile", counted)
+    rep = regularity_report(K3, sample_gnp(2, 12, 0.8, 3), 0.8, eps=0.5, beta=20.0, seed=3)
+    # K3: 7 edge subsets with no pin, 3 x 7 with one pin, 3 x 3 with two
+    assert len(calls) == 37
+    assert rep["part_a"]["family_size"] == 475
 
 
 @pytest.mark.parametrize(

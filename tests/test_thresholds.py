@@ -108,8 +108,6 @@ def test_scan_validation():
     with pytest.raises(InputError):
         threshold_scan(K2, [12], trials=0, seed=0)
     with pytest.raises(InputError):
-        threshold_scan(K2, [12], trials=10, seed=0, rounds=5)
-    with pytest.raises(InputError):
         threshold_scan(K2, [30], trials=10, seed=0)
 
 
