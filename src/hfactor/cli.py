@@ -431,12 +431,11 @@ def config_from_args(argv) -> RunConfig:
     if "n_list" in file_values and isinstance(file_values["n_list"], list):
         file_values["n_list"] = tuple(int(x) for x in file_values["n_list"])
     for field, value in file_values.items():
-        if not hasattr(cfg, field):
+        # the command is positional only, so a file cannot replace it
+        if field == "command" or not hasattr(cfg, field):
             raise InputError(f"unknown config key {field!r}")
         setattr(cfg, field, value)
     for field in vars(cfg):
-        if field == "command":
-            continue
         flag_value = getattr(args, field, None)
         if flag_value is not None:
             setattr(cfg, field, flag_value)
@@ -446,8 +445,6 @@ def config_from_args(argv) -> RunConfig:
         cfg.workers = max(1, os.cpu_count() or 1)
     if cfg.workers < 1:
         raise InputError("workers must be at least 1")
-    if cfg.command not in _DISPATCH:
-        raise InputError(f"unknown command {cfg.command!r}")
     return cfg
 
 

@@ -282,8 +282,9 @@ def weight_w(pattern: PatternGraph, g: HostGraph, zapped, counter: FactorCounter
     For |Z| = v this is the factor count of the host minus Z; for smaller Z
     it sums that count over all v-supersets of Z inside the vertex set.
     """
+    zapped = tuple(zapped)
     z = tuple(sorted(set(zapped)))
-    if len(z) != len(tuple(zapped)):
+    if len(z) != len(zapped):
         raise InputError("vertex set has repeats")
     if len(z) > pattern.v:
         raise InputError(f"need |Z| <= {pattern.v}, got {len(z)}")

@@ -4,11 +4,12 @@ A copy polynomial is determined implicitly by (pattern, host size, anchor):
 its terms are the edge images of the anchored injections, never an explicit
 coefficient map.  Derivative expectations come from per-edge-set counts.  The
 complete host is symmetric apart from the pin images, so the coefficient sum
-over the terms containing a host-edge set F is a constrained count on the
-host made of F alone, summed over the constrained edge sets S' that an
-injection can carry onto F.  The maximum for each derivative order is taken
-over the canonical images of the constrained edge subsets, so the number of
-counts depends on the pattern alone and the host is never enumerated.
+over the terms containing a fixed edge set F depends only on how F sits
+against the pins: it is (n-u)_(v-u) times the copies of F, pins fixed, inside
+the pattern's own constrained edges, u counting the vertices of F and the
+pins.  Those copies are counted on a v-vertex host, and each derivative
+order's maximum is taken over the constrained edge subsets of that size, so
+the work depends on the pattern alone, not on n.
 
 Two bases are supported.  The injection basis keeps one term per injection
 (coefficients can exceed 1 where injections share an edge image, so the
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -58,59 +58,44 @@ class CopyPolynomial:
         return len(self.spec.constrained_edges)
 
 
-def _injection_count(f: CopyPolynomial, fixed) -> int:
-    """Injection-basis coefficient sum over the terms containing the host edges ``fixed``.
+def _injection_count(f: CopyPolynomial, sub) -> int:
+    """Injection-basis coefficient sum over the terms containing the edges ``sub``.
 
-    An injection whose edge image contains ``fixed`` carries exactly one set
-    S' of constrained edges onto it, so the sum runs over the S' of that size
-    on the host whose only edges are ``fixed``.  An S' whose degrees differ
-    from those of ``fixed`` counts nothing and is skipped.
+    ``sub`` is an edge set on pattern labels; each pin stands for its own
+    image and every other vertex for a distinct non-pin host vertex (the
+    complete host is symmetric apart from the pin images, so which does not
+    matter).  An injection whose edge image contains ``sub`` restricts to a
+    copy of ``sub`` inside the constrained edges that fixes the pins, and
+    extends to the other pattern vertices in (n-u)_(v-u) ways, u counting
+    the vertices of ``sub`` and the pins.
     """
-    host = host_from_edges(f.pattern.k, f.n, fixed)
-    spec = f.spec
-    shape = _degree_shape(host.edges, [x for _, x in spec.pins])
-    return sum(
-        constrained_count(f.pattern, host, ConstraintSpec(spec.pins, sub))
-        for sub in itertools.combinations(spec.constrained_edges, host.m)
-        if _degree_shape(sub, spec.pinned_vertices) == shape
+    pinned = f.spec.pinned_vertices
+    k, v = f.pattern.k, f.pattern.v
+    if not sub:
+        return math.perm(f.n - len(pinned), v - len(pinned))
+    u = len(set(pinned).union(*sub))
+    inner = constrained_count(
+        PatternGraph(k, v, sub),
+        host_from_edges(k, v, f.spec.constrained_edges),
+        ConstraintSpec(tuple((a, a) for a in pinned), sub),
     )
-
-
-def _degree_shape(edges, pinned) -> tuple:
-    """The degrees of the pinned vertices in order, then the sorted degrees of the rest.
-
-    A bijection carrying one edge set onto another, pins onto their images,
-    keeps this.
-    """
-    deg = Counter(x for e in edges for x in e)
-    return tuple(deg.pop(a, 0) for a in pinned), sorted(deg.values())
-
-
-def _canonical_image(f: CopyPolynomial, sub) -> tuple[tuple[int, ...], ...]:
-    """Sorted host edges of ``sub``: pins at their images, other vertices at the smallest free labels."""
-    label = dict(f.spec.pins)
-    images = set(label.values())
-    fresh = (x for x in range(f.n) if x not in images)
-    out = []
-    for e in sub:
-        for a in e:
-            if a not in label:
-                label[a] = next(fresh)
-        out.append(tuple(sorted(label[a] for a in e)))
-    return tuple(sorted(out))
+    # the v-u vertices outside sub and the pins are free in the inner count
+    # and contribute (v-u)!, which turns comb into the falling factorial
+    return math.comb(f.n - u, v - u) * inner
 
 
 def _basis_unit(f: CopyPolynomial) -> int:
     """The injection-basis coefficient that makes one term of f's basis.
 
-    That is 1, or with ``collapse`` the free-vertex factorial times |Aut_P|:
-    Aut_P are the permutations of the constrained vertices that fix the pins
-    and map the constrained edges onto themselves, and each distinct edge
-    image is hit by exactly that many injections.
+    That is 1, or with ``collapse`` the number of injections sharing one edge
+    image: the count of the whole constrained edge set, which is the
+    free-vertex falling factorial times |Aut_P|, Aut_P being the
+    permutations of the constrained vertices that fix the pins and map the
+    constrained edges onto themselves.
     """
     if not f.collapse:
         return 1
-    return _injection_count(f, _canonical_image(f, f.spec.constrained_edges))
+    return _injection_count(f, f.spec.constrained_edges)
 
 
 def expectation(f: CopyPolynomial, p: float) -> float:
@@ -129,7 +114,18 @@ def derivative_expectation(f: CopyPolynomial, fixed_edges, p: float) -> float:
         raise InputError("more fixed edges than the polynomial degree")
     if not fixed:
         return expectation(f, p)
-    return _injection_count(f, fixed) // _basis_unit(f) * p ** (f.degree - len(fixed))
+    # the host only rejects malformed edges; the count runs on pattern labels,
+    # pin images at their pins and other vertices at the unpinned labels
+    host = host_from_edges(f.pattern.k, f.n, fixed)
+    label = {x: a for a, x in f.spec.pins}
+    others = sorted({x for e in host.edges for x in e} - label.keys())
+    unpinned = [a for a in range(f.pattern.v) if a not in f.spec.pinned_vertices]
+    count = 0
+    # no term has more than v vertices or an edge inside the pin images
+    if len(others) <= len(unpinned) and not any(label.keys() >= set(e) for e in host.edges):
+        label.update(zip(others, unpinned))
+        count = _injection_count(f, tuple(tuple(label[x] for x in e) for e in host.edges))
+    return count // _basis_unit(f) * p ** (f.degree - len(fixed))
 
 
 def derivative_profile(f: CopyPolynomial, p: float) -> dict:
@@ -147,12 +143,10 @@ def derivative_profile(f: CopyPolynomial, p: float) -> dict:
     d = f.degree
     edges = f.spec.constrained_edges
     unit = _basis_unit(f)
-    # every host-edge set with a positive count is equivalent, under the host
-    # permutations fixing the pin images, to a canonical image
-    best = []
-    for j in range(d + 1):
-        images = {_canonical_image(f, sub) for sub in itertools.combinations(edges, j)}
-        best.append(max(_injection_count(f, img) for img in images) // unit)
+    best = [
+        max(_injection_count(f, sub) for sub in itertools.combinations(edges, j)) // unit
+        for j in range(d + 1)
+    ]
     e0 = best[0] * p**d
     e_by_order = {j: best[j] * p ** (d - j) for j in range(1, d + 1)}
     e_star = max([e0] + [e_by_order[j] for j in range(1, d)], default=e0)
@@ -209,8 +203,7 @@ def regularity_report(
                     if math.perm(n - a_size, pattern.v - a_size) * 2**r > WORK_CAP:
                         skipped += len(psis)
                         continue
-                    # the complete host is symmetric apart from the pin
-                    # images, so E* depends on (A, E') alone
+                    # E* depends on (A, E') alone, so the pins sit at 0..|A|-1
                     anchor = ConstraintSpec(tuple(zip(a_set, range(a_size))), eprime)
                     e_star = derivative_profile(CopyPolynomial(pattern, n, anchor), p)["e_star"]
                     large_bound = n**eps * e_star

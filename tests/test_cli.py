@@ -225,6 +225,15 @@ def test_config_file_with_flag_override(k3_file, tmp_path, capsys):
     assert json.loads(out)["labeled"] == 360  # flag wins over config
 
 
+def test_config_file_cannot_replace_command(k3_file, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"pattern": k3_file, "n": 6, "command": "analyze"}))
+    code, out, err = run_cli(["count", "--config", str(config)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "unknown config key 'command'" in err
+
+
 def test_exit_code_validation_error(k3_file, capsys):
     code, _, err = run_cli(["count", "--pattern", k3_file, "--n", "7"], capsys)
     assert code == 1

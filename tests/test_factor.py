@@ -160,6 +160,15 @@ def test_weight_w_partial_sets():
     assert total == by_hand
 
 
+def test_weight_w_iterator_input():
+    # the vertex set is read once, so a one-shot iterator gives the list result
+    g = complete_host(2, 6)
+    for pat, zapped in ((K2, [0, 1]), (K3, [0, 1]), (K3, [0, 1, 2])):
+        assert weight_w(pat, g, iter(zapped)) == weight_w(pat, g, zapped)
+    with pytest.raises(InputError):
+        weight_w(K2, g, iter([0, 0]))
+
+
 def test_b_statistic_symmetric():
     assert b_statistic(K3, complete_host(2, 6)).maxr == 1
     assert b_statistic(K2, complete_host(2, 4)).maxr == 1

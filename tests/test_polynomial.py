@@ -239,6 +239,30 @@ def test_profile_large_n_closed_forms():
     assert prof["normalization"] == 6
 
 
+
+@pytest.mark.parametrize("pat", [K3, complete_pattern(4)], ids=["K3", "K4"])
+@pytest.mark.parametrize("pins", [(), ((0, 0),)], ids=["unanchored", "one-pin"])
+def test_profile_counts_do_not_depend_on_n(pat, pins, monkeypatch):
+    hosts = []
+
+    def recorded(pattern, g, spec):
+        hosts.append(g)
+        return constrained_count(pattern, g, spec)
+
+    monkeypatch.setattr(polynomial, "constrained_count", recorded)
+    calls = []
+    for n in (7, 5000):
+        hosts.clear()
+        for collapse in (False, True):
+            f = CopyPolynomial(pat, n, ConstraintSpec(pins, pat.edges), collapse)
+            expectation(f, 0.3)
+            derivative_expectation(f, [(1, 2)], 0.3)
+            derivative_profile(f, 0.3)
+        assert {g.n for g in hosts} == {pat.v}
+        calls.append(len(hosts))
+    assert calls[0] == calls[1]
+
+
 PROFILE_PATTERNS = {
     "K3": K3,
     "K4": complete_pattern(4),
