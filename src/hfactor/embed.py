@@ -181,6 +181,10 @@ def enumerate_copies(pattern: PatternGraph, g: HostGraph) -> list[Copy]:
 
 def role_images(pattern: PatternGraph, g: HostGraph) -> list[set[int]]:
     """For each pattern vertex, the host vertices it maps to across all copies."""
+    if pattern.is_single_edge() or pattern.is_complete_graph():
+        # every vertex of a block takes every role
+        covered = {x for block, _ in host_blocks(pattern, g) for x in block}
+        return [set(covered) for _ in range(pattern.v)]
     count, mult, partials = _count_or_collect(pattern, g, full_constraint(pattern), collect=True)
     realized: list[set[int]] = [set() for _ in range(pattern.v)]
     if count == 0 or mult == 0:

@@ -125,17 +125,27 @@ def mask_bits(mask: int):
         mask ^= low
 
 
-def unrank_edge(index: int, n: int, k: int) -> tuple[int, ...]:
-    """The index-th k-subset of range(n) in lexicographic order."""
-    combo = []
-    x = 0
-    for j in range(k, 0, -1):
-        while math.comb(n - x - 1, j - 1) <= index:
-            index -= math.comb(n - x - 1, j - 1)
-            x += 1
-        combo.append(x)
-        x += 1
-    return tuple(combo)
+def _edges_at_ranks(ranks, n: int, k: int):
+    """The k-subsets of range(n) at increasing lexicographic ranks, in one forward walk.
+
+    Cursor x[j] spans the ranks [lo[j], hi[j]) of the k-subsets starting with
+    x[:j+1]; x[-1] is read off (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).
+    """
+    x, lo, hi = [-1] * k, [0] * k, [0] * k
+    for r in ranks:
+        if r >= hi[-2]:
+            # re-seat the positions from the first whose range r has left
+            j = 0
+            while r < hi[j]:
+                j += 1
+            for i in range(j, k - 1):
+                if i > j:
+                    x[i], hi[i] = x[i - 1], lo[i - 1]
+                while r >= hi[i]:
+                    x[i] += 1
+                    lo[i], hi[i] = hi[i], hi[i] + math.comb(n - 1 - x[i], k - 1 - i)
+        x[-1] = x[-2] + 1 + r - lo[-2]
+        yield tuple(x)
 
 
 def _check_sampling_size(n: int, k: int) -> None:
@@ -158,14 +168,13 @@ def sample_gnp(k: int, n: int, p: float, seed: int) -> HostGraph:
         return host_from_edges(k, n, [])
     # geometric skipping: gaps between kept indices are iid Geometric(p)
     log_q = math.log1p(-p)
-    edges = []
+    kept = []
     i = -1
-    while True:
-        i += 1 + int(math.log(1.0 - rng.random()) / log_q)
-        if i >= total:
-            break
-        edges.append(unrank_edge(i, n, k))
-    return host_from_edges(k, n, edges)
+    # compare the float gap with the ranks left first: for tiny p int() overflows
+    while (gap := math.log(1.0 - rng.random()) / log_q) < total - i - 1:
+        i += 1 + int(gap)
+        kept.append(i)
+    return host_from_edges(k, n, _edges_at_ranks(kept, n, k))
 
 
 def sample_gnm(k: int, n: int, m_edges: int, seed: int) -> HostGraph:
@@ -175,8 +184,8 @@ def sample_gnm(k: int, n: int, m_edges: int, seed: int) -> HostGraph:
     if not 0 <= m_edges <= total:
         raise InputError(f"edge count {m_edges} out of range 0..{total}")
     rng = rng_for(seed)
-    chosen = rng.sample(range(total), m_edges)
-    return host_from_edges(k, n, [unrank_edge(i, n, k) for i in chosen])
+    chosen = sorted(rng.sample(range(total), m_edges))
+    return host_from_edges(k, n, _edges_at_ranks(chosen, n, k))
 
 
 def random_ordering(k: int, n: int, seed: int) -> EdgeOrdering:

@@ -6,7 +6,9 @@ oracles enumerate every anchored injection into the complete host and
 histogram the subsets of their edge images.  The one Monte Carlo
 reference, ``binomial_mixture_estimate``, is built from the fixed-size model
 alone, so it checks the independent-edge model through the identity that
-couples the two.
+couples the two.  ``unrank_edge`` and the two ``*_unranked`` samplers are
+the samplers as first written, unranking each kept index on its own; the
+library's rank walk must give the same hosts.
 """
 
 import itertools
@@ -16,9 +18,47 @@ from fractions import Fraction
 from functools import lru_cache
 
 from hfactor.factor import has_factor
-from hfactor.host import HostGraph, sample_gnm, total_edges
+from hfactor.host import HostGraph, complete_host, host_from_edges, sample_gnm, total_edges
 from hfactor.pattern import PatternGraph
 from hfactor.rng import derive_seed, rng_for
+
+
+def unrank_edge(index: int, n: int, k: int) -> tuple[int, ...]:
+    """The index-th k-subset of range(n) in lexicographic order."""
+    combo = []
+    x = 0
+    for j in range(k, 0, -1):
+        while math.comb(n - x - 1, j - 1) <= index:
+            index -= math.comb(n - x - 1, j - 1)
+            x += 1
+        combo.append(x)
+        x += 1
+    return tuple(combo)
+
+
+def sample_gnp_unranked(k: int, n: int, p: float, seed: int) -> HostGraph:
+    """``sample_gnp`` with one ``unrank_edge`` per kept index (same draws)."""
+    total = total_edges(k, n)
+    rng = rng_for(seed)
+    if p >= 1.0:
+        return complete_host(k, n)
+    if p <= 0.0:
+        return host_from_edges(k, n, [])
+    log_q = math.log1p(-p)
+    edges = []
+    i = -1
+    while True:
+        i += 1 + int(math.log(1.0 - rng.random()) / log_q)
+        if i >= total:
+            break
+        edges.append(unrank_edge(i, n, k))
+    return host_from_edges(k, n, edges)
+
+
+def sample_gnm_unranked(k: int, n: int, m_edges: int, seed: int) -> HostGraph:
+    """``sample_gnm`` with one ``unrank_edge`` per drawn index, in draw order."""
+    chosen = rng_for(seed).sample(range(total_edges(k, n)), m_edges)
+    return host_from_edges(k, n, [unrank_edge(i, n, k) for i in chosen])
 
 
 def all_subgraph_profile(p: PatternGraph):

@@ -57,6 +57,14 @@ def test_count_host_file(k3_file, tmp_path, capsys):
     assert json.loads(out)["labeled"] == 360
 
 
+def test_count_smallest_positive_p(k2_file, capsys):
+    code, out, _ = run_cli(
+        ["count", "--pattern", k2_file, "--n", "10", "--p", "5e-324", "--seed", "3"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["labeled"] == 0
+
+
 def test_trace_csv_deterministic(k3_file, tmp_path, capsys):
     args = ["trace", "--pattern", k3_file, "--n", "6", "--seed", "3",
             "--format", "csv"]

@@ -191,9 +191,21 @@ def _diff_hosts(p):
     return [sample_gnp(p.k, 7, 0.55, derive_seed(4242, p.k, p.v, t)) for t in range(4)]
 
 
-@pytest.mark.parametrize("p", DIFF_PATTERNS, ids=lambda p: f"k{p.k}v{p.v}m{p.m}")
+def _copyless_hosts(p):
+    # the empty host, too few vertices, and (for graphs) the triangle-free K_{3,4}
+    hosts = [host_from_edges(p.k, 7, []), complete_host(p.k, p.v - 1)]
+    if p.k == 2:
+        hosts.append(host_from_edges(2, 7, [(a, b) for a in range(3) for b in range(3, 7)]))
+    return hosts
+
+
+# K4 and the 3-uniform edge take role_images' block path, like K2 and K3
+@pytest.mark.parametrize(
+    "p", DIFF_PATTERNS + [complete_pattern(4), single_edge_pattern(3)],
+    ids=lambda p: f"k{p.k}v{p.v}m{p.m}",
+)
 def test_copy_search_matches_injection_oracle(p):
-    for g in _diff_hosts(p):
+    for g in _diff_hosts(p) + _copyless_hosts(p):
         copies = sorted(injection_copies(p, g))
         assert enumerate_copies(p, g) == copies
         assert role_images(p, g) == [{c[r] for c in copies} for r in range(p.v)]

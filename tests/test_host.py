@@ -4,10 +4,16 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import binomial_mixture_estimate
+from oracles import (
+    binomial_mixture_estimate,
+    sample_gnm_unranked,
+    sample_gnp_unranked,
+    unrank_edge,
+)
 
 from hfactor.errors import InputError
 from hfactor.host import (
+    _edges_at_ranks,
     compare_models,
     complete_host,
     host_from_edges,
@@ -16,9 +22,9 @@ from hfactor.host import (
     sample_gnm,
     sample_gnp,
     total_edges,
-    unrank_edge,
 )
 from hfactor.pattern import complete_pattern
+from hfactor.rng import derive_seed
 
 K2 = complete_pattern(2)
 
@@ -62,10 +68,68 @@ def test_gnm_always_exact(seed, m_edges):
 
 
 def test_unrank_is_lexicographic():
+    # the oracle the samplers are checked against
     n, k = 7, 3
     combos = list(itertools.combinations(range(n), k))
     for i, c in enumerate(combos):
         assert unrank_edge(i, n, k) == c
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_rank_walk_on_every_rank_is_combinations_order(k):
+    for n in range(k, 13):
+        combos = list(itertools.combinations(range(n), k))
+        assert list(_edges_at_ranks(range(len(combos)), n, k)) == combos
+        # the last rank alone, reached from the start in one walk
+        assert list(_edges_at_ranks([len(combos) - 1], n, k)) == combos[-1:]
+
+
+# seeds per (k, n, p or M) cell: the walk is exercised most where hosts are cheap
+SAMPLER_SEEDS = {2: 100, 3: 30, 4: 8}
+
+
+@pytest.mark.parametrize("k", sorted(SAMPLER_SEEDS))
+def test_samplers_match_unranking_oracle(k):
+    for n in range(k, 21):
+        total = total_edges(k, n)
+        for t in range(SAMPLER_SEEDS[k]):
+            seed = derive_seed(8080, k, n, t)
+            for p in (0.05, 0.35, 0.9):
+                assert sample_gnp(k, n, p, seed) == sample_gnp_unranked(k, n, p, seed)
+            for m_edges in (0, 1, total // 3, total):
+                assert sample_gnm(k, n, m_edges, seed) == sample_gnm_unranked(k, n, m_edges, seed)
+
+
+# below about 1e-307 the oracle's gap overflows int(); see the next test
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=10),
+    st.floats(min_value=1e-300, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_samplers_match_oracle_property(k, extra, p, m_frac, seed):
+    n = k + extra
+    m_edges = round(total_edges(k, n) * m_frac)
+    assert sample_gnp(k, n, p, seed) == sample_gnp_unranked(k, n, p, seed)
+    assert sample_gnm(k, n, m_edges, seed) == sample_gnm_unranked(k, n, m_edges, seed)
+
+
+def test_gnp_smallest_positive_p():
+    # the geometric gap overflows int() here; it must end the walk instead
+    for seed in range(20):
+        assert sample_gnp(2, 10, 5e-324, seed).m == 0
+    assert sample_gnp(3, 30, 5e-324, 1).m == 0
+
+
+def test_gnp_at_documented_vertex_cap():
+    n, p = 10_000, 1e-3
+    g = sample_gnp(2, n, p, 31)
+    assert all(0 <= a < b < n for a, b in g.edges)
+    assert list(g.edges) == sorted(set(g.edges))
+    mean = total_edges(2, n) * p
+    assert abs(g.m - mean) <= 6 * math.sqrt(mean)
+    assert sample_gnp(3, 300, p, 32) == sample_gnp_unranked(3, 300, p, 32)
 
 
 def test_ordering_is_permutation():
