@@ -191,8 +191,9 @@ def _diff_hosts(p):
     return [sample_gnp(p.k, 7, 0.55, derive_seed(4242, p.k, p.v, t)) for t in range(4)]
 
 
-def _copyless_hosts(p):
-    # the empty host, too few vertices, and (for graphs) the triangle-free K_{3,4}
+def _edge_case_hosts(p):
+    # hosts where some or all patterns have no copy: the empty host, too few
+    # vertices, and (for graphs) the triangle-free K_{3,4}
     hosts = [host_from_edges(p.k, 7, []), complete_host(p.k, p.v - 1)]
     if p.k == 2:
         hosts.append(host_from_edges(2, 7, [(a, b) for a in range(3) for b in range(3, 7)]))
@@ -205,7 +206,7 @@ def _copyless_hosts(p):
     ids=lambda p: f"k{p.k}v{p.v}m{p.m}",
 )
 def test_copy_search_matches_injection_oracle(p):
-    for g in _diff_hosts(p) + _copyless_hosts(p):
+    for g in _diff_hosts(p) + _edge_case_hosts(p):
         copies = sorted(injection_copies(p, g))
         assert enumerate_copies(p, g) == copies
         assert role_images(p, g) == [{c[r] for c in copies} for r in range(p.v)]
