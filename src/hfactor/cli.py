@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, asdict, is_dataclass
+from dataclasses import asdict, is_dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -22,42 +22,6 @@ from pathlib import Path
 from . import embed, entropy, factor, host, pattern, polynomial, process, thresholds
 from .errors import InputError, InvariantError
 from .rng import derive_seed
-
-COMMANDS = (
-    "analyze", "count", "scan", "trace", "martingale-check", "shearer",
-    "window", "weight-lemma", "poly", "models", "regularity",
-)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    pattern_path: str | None = None
-    host_path: str | None = None
-    weights_path: str | None = None
-    n: int | None = None
-    n_list: tuple[int, ...] | None = None
-    p: float | None = None
-    m_edges: int | None = None
-    trials: int = 200
-    seed: int = 0
-    t_max: int | None = None
-    eps: float = 0.5
-    beta: float = 10.0
-    bound: float = 1.0
-    v: int | None = None
-    target: float = 0.5
-    property_name: str = "factor"
-    mode: str = "profile"
-    theorem: str = "relative-low-order"
-    collapse: bool = False
-    anchor_role: int | None = None
-    anchor_vertex: int | None = None
-    b_level: float = 10.0
-    sweep: bool = False
-    workers: int = 1
-    out_path: str | None = None
-    format: str = "json"
 
 
 def _fmt_float(x: float) -> str:
@@ -90,29 +54,22 @@ def _jsonable(obj):
     return obj
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit(report, cfg: RunConfig, csv_rows=None, csv_header=None) -> None:
+def _emit(report, cfg: argparse.Namespace, csv_rows=None, csv_header=None) -> None:
     """JSON dump, or module CSV when a schema is given, else flat key CSV."""
     if cfg.format == "json":
-        _write_output(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", cfg.out_path)
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if csv_rows is not None:
-        writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow(row)
+        text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
     else:
-        writer.writerow(["key", "value"])
-        for key, value in _flatten(_jsonable(report)):
-            writer.writerow([key, value])
-    _write_output(buf.getvalue(), cfg.out_path)
+        buf = io.StringIO()
+        if csv_rows is None:
+            csv_header, csv_rows = ["key", "value"], _flatten(_jsonable(report))
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows)
+        text = buf.getvalue()
+    if cfg.out:
+        Path(cfg.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _flatten(obj, prefix=""):
@@ -129,26 +86,29 @@ def _flatten(obj, prefix=""):
         yield key, obj
 
 
-def _load_pattern(cfg: RunConfig) -> pattern.PatternGraph:
-    if not cfg.pattern_path:
-        raise InputError("this command needs --pattern")
-    return pattern.parse_pattern(Path(cfg.pattern_path).read_text(encoding="utf-8"))
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _load_host(cfg: RunConfig) -> host.HostGraph:
-    if not cfg.host_path:
-        raise InputError("this command needs --host")
-    return host.parse_host(Path(cfg.host_path).read_text(encoding="utf-8"))
+def _load_pattern(cfg: argparse.Namespace) -> pattern.PatternGraph:
+    return pattern.parse_pattern(_read_text(_need(cfg, "pattern")))
 
 
-def _need(cfg: RunConfig, name: str):
+def _load_host(cfg: argparse.Namespace) -> host.HostGraph:
+    return host.parse_host(_read_text(_need(cfg, "host")))
+
+
+def _need(cfg: argparse.Namespace, name: str):
     value = getattr(cfg, name)
     if value is None:
         raise InputError(f"this command needs --{name.replace('_', '-')}")
     return value
 
 
-def _cmd_analyze(cfg: RunConfig) -> None:
+def _cmd_analyze(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
     prof = pattern.density_profile(p)
     report = {
@@ -168,17 +128,17 @@ def _cmd_analyze(cfg: RunConfig) -> None:
     _emit(report, cfg)
 
 
-def _cmd_count(cfg: RunConfig) -> None:
+def _cmd_count(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
-    if cfg.host_path:
+    if cfg.host:
         g = _load_host(cfg)
-        source = {"host": cfg.host_path}
+        source = {"host": cfg.host}
     elif cfg.n is not None and cfg.p is not None:
         g = host.sample_gnp(p.k, cfg.n, cfg.p, cfg.seed)
         source = {"model": "gnp", "n": cfg.n, "p": cfg.p, "seed": cfg.seed}
-    elif cfg.n is not None and cfg.m_edges is not None:
-        g = host.sample_gnm(p.k, cfg.n, cfg.m_edges, cfg.seed)
-        source = {"model": "gnm", "n": cfg.n, "M": cfg.m_edges, "seed": cfg.seed}
+    elif cfg.n is not None and cfg.M is not None:
+        g = host.sample_gnm(p.k, cfg.n, cfg.M, cfg.seed)
+        source = {"model": "gnm", "n": cfg.n, "M": cfg.M, "seed": cfg.seed}
     elif cfg.n is not None:
         counts = factor.complete_graph_count(p, cfg.n)
         _emit({"source": {"model": "complete", "n": cfg.n},
@@ -190,14 +150,14 @@ def _cmd_count(cfg: RunConfig) -> None:
     _emit({"source": source, "labeled": counts.labeled, "unlabeled": counts.unlabeled}, cfg)
 
 
-def _cmd_scan(cfg: RunConfig) -> None:
+def _cmd_scan(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
     n_list = cfg.n_list if cfg.n_list else ((cfg.n,) if cfg.n else None)
     if not n_list:
         raise InputError("scan needs --n-list or --n")
     estimates = thresholds.threshold_scan(
         p, list(n_list), cfg.trials, target=cfg.target, seed=cfg.seed,
-        property_name=cfg.property_name, workers=cfg.workers,
+        property_name=cfg.property, workers=cfg.workers,
     )
     header = ["n", "p_half", "ci_low", "ci_high", "formula_value", "ratio",
               "trials", "seed", "property"]
@@ -210,7 +170,7 @@ def _cmd_scan(cfg: RunConfig) -> None:
     _emit(estimates, cfg, csv_rows=rows, csv_header=header)
 
 
-def _cmd_trace(cfg: RunConfig) -> None:
+def _cmd_trace(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
     trace = process.run_process(
         p, _need(cfg, "n"), cfg.seed, t_max=cfg.t_max,
@@ -230,9 +190,11 @@ def _cmd_trace(cfg: RunConfig) -> None:
     _emit(trace, cfg, csv_rows=rows, csv_header=header)
 
 
-def _battery_hosts(p, cfg: RunConfig):
+def _battery_hosts(p, cfg: argparse.Namespace):
     """Random hosts with at least one factor, resampled up to a fixed budget."""
     n = _need(cfg, "n")
+    if cfg.trials < 1:
+        raise InputError("need at least one trial")
     prob = cfg.p if cfg.p is not None else 0.7
     hosts = []
     attempt = 0
@@ -248,7 +210,7 @@ def _battery_hosts(p, cfg: RunConfig):
     return hosts
 
 
-def _cmd_martingale_check(cfg: RunConfig) -> None:
+def _cmd_martingale_check(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
     rows = []
     for g in _battery_hosts(p, cfg):
@@ -259,7 +221,7 @@ def _cmd_martingale_check(cfg: RunConfig) -> None:
     _emit({"n": cfg.n, "trials": len(rows), "all_equal": True, "cases": rows}, cfg)
 
 
-def _cmd_shearer(cfg: RunConfig) -> None:
+def _cmd_shearer(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
     rows = []
     for g in _battery_hosts(p, cfg):
@@ -271,20 +233,20 @@ def _cmd_shearer(cfg: RunConfig) -> None:
 
 def _read_weight_csv(path: str) -> list[tuple[tuple[str, ...], float]]:
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.reader(fh):
-            if not rec or rec[0].startswith("#"):
-                continue
+    for rec in csv.reader(io.StringIO(_read_text(path), newline="")):
+        if not rec or rec[0].startswith("#"):
+            continue
+        try:
             rows.append((tuple(rec[:-1]), float(rec[-1])))
+        except ValueError:
+            raise InputError(f"weight {rec[-1]!r} in {path} is not a number") from None
     if not rows:
         raise InputError(f"no weight rows in {path}")
     return rows
 
 
-def _cmd_window(cfg: RunConfig) -> None:
-    if not cfg.weights_path:
-        raise InputError("window needs --weights CSV")
-    rows = _read_weight_csv(cfg.weights_path)
+def _cmd_window(cfg: argparse.Namespace) -> None:
+    rows = _read_weight_csv(_need(cfg, "weights"))
     family = entropy.WeightedFamily(
         ids=tuple("-".join(key) for key, _ in rows),
         weights=tuple(w for _, w in rows),
@@ -292,17 +254,17 @@ def _cmd_window(cfg: RunConfig) -> None:
     _emit(entropy.entropy_window(family), cfg)
 
 
-def _cmd_weight_lemma(cfg: RunConfig) -> None:
-    if not cfg.weights_path:
-        raise InputError("weight-lemma needs --weights CSV")
-    n, v = _need(cfg, "n"), _need(cfg, "v")
-    weights = {}
-    for key, w in _read_weight_csv(cfg.weights_path):
-        weights[tuple(int(t) for t in key)] = w
-    _emit(entropy.weight_lemma_check(n, v, weights, cfg.bound), cfg)
+def _cmd_weight_lemma(cfg: argparse.Namespace) -> None:
+    n, v, path = _need(cfg, "n"), _need(cfg, "v"), _need(cfg, "weights")
+    rows = _read_weight_csv(path)
+    try:
+        weights = {tuple(int(t) for t in key): w for key, w in rows}
+    except ValueError:
+        raise InputError(f"vertex ids in {path} must be integers") from None
+    _emit(entropy.weight_lemma_check(n, v, weights, cfg.B), cfg)
 
 
-def _poly_from_config(cfg: RunConfig, p) -> polynomial.CopyPolynomial:
+def _poly_from_config(cfg: argparse.Namespace, p) -> polynomial.CopyPolynomial:
     anchor = None
     if cfg.anchor_role is not None or cfg.anchor_vertex is not None:
         if cfg.anchor_role is None or cfg.anchor_vertex is None:
@@ -315,7 +277,7 @@ def _poly_from_config(cfg: RunConfig, p) -> polynomial.CopyPolynomial:
     )
 
 
-def _cmd_poly(cfg: RunConfig) -> None:
+def _cmd_poly(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
     f = _poly_from_config(cfg, p)
     prob = _need(cfg, "p")
@@ -323,18 +285,16 @@ def _cmd_poly(cfg: RunConfig) -> None:
         _emit(polynomial.derivative_profile(f, prob), cfg)
     elif cfg.mode == "check":
         _emit(polynomial.hypothesis_check(f, prob, cfg.eps, cfg.theorem), cfg)
-    elif cfg.mode == "trial":
+    else:  # trial
         _emit(
             polynomial.concentration_trial(
                 f, prob, cfg.trials, cfg.eps, cfg.seed, workers=cfg.workers
             ),
             cfg,
         )
-    else:
-        raise InputError(f"unknown poly mode {cfg.mode!r}")
 
 
-def _cmd_models(cfg: RunConfig) -> None:
+def _cmd_models(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
     _emit(
         host.compare_models(
@@ -345,9 +305,9 @@ def _cmd_models(cfg: RunConfig) -> None:
     )
 
 
-def _cmd_regularity(cfg: RunConfig) -> None:
+def _cmd_regularity(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
-    if cfg.host_path:
+    if cfg.host:
         g = _load_host(cfg)
     else:
         g = host.sample_gnp(p.k, _need(cfg, "n"), _need(cfg, "p"), cfg.seed)
@@ -378,77 +338,85 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hfactor",
         description="Pattern-factor counting, deletion traces, and threshold experiments.",
     )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", help="JSON file whose keys mirror flag names; flags win")
-    parser.add_argument("--pattern", dest="pattern_path")
-    parser.add_argument("--host", dest="host_path")
-    parser.add_argument("--weights", dest="weights_path")
+    parser.add_argument("command", choices=_DISPATCH)
+    parser.add_argument("--config", help="JSON file whose keys are flag names; flags win")
+    parser.add_argument("--pattern")
+    parser.add_argument("--host")
+    parser.add_argument("--weights")
     parser.add_argument("--n", type=int)
-    parser.add_argument("--n-list", dest="n_list", help="comma-separated host sizes")
+    parser.add_argument("--n-list", type=_int_list, help="comma-separated host sizes")
     parser.add_argument("--p", type=float)
-    parser.add_argument("--M", dest="m_edges", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--t-max", dest="t_max", type=int)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--B", dest="bound", type=float)
+    parser.add_argument("--M", type=int)
+    parser.add_argument("--trials", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--t-max", type=int)
+    parser.add_argument("--eps", type=float, default=0.5)
+    parser.add_argument("--beta", type=float, default=10.0)
+    parser.add_argument("--B", type=float, default=1.0)
     parser.add_argument("--v", type=int)
-    parser.add_argument("--target", type=float)
-    parser.add_argument("--property", dest="property_name", choices=["factor", "coverage", "role"])
-    parser.add_argument("--mode", choices=["profile", "check", "trial"])
-    parser.add_argument("--theorem", choices=list(polynomial.THEOREMS))
-    parser.add_argument("--collapse", action="store_true", default=None)
-    parser.add_argument("--anchor-role", dest="anchor_role", type=int)
-    parser.add_argument("--anchor-vertex", dest="anchor_vertex", type=int)
-    parser.add_argument("--b-level", dest="b_level", type=float)
-    parser.add_argument("--sweep", action="store_true", default=None)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--out", dest="out_path")
-    parser.add_argument("--format", choices=["csv", "json"])
+    parser.add_argument("--target", type=float, default=0.5)
+    parser.add_argument("--property", choices=thresholds.PROPERTIES, default="factor")
+    parser.add_argument("--mode", choices=["profile", "check", "trial"], default="profile")
+    parser.add_argument("--theorem", choices=polynomial.THEOREMS, default="relative-low-order")
+    parser.add_argument("--collapse", action="store_true")
+    parser.add_argument("--anchor-role", type=int)
+    parser.add_argument("--anchor-vertex", type=int)
+    parser.add_argument("--b-level", type=float, default=10.0)
+    parser.add_argument("--sweep", action="store_true")
+    parser.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
+    parser.add_argument("--out")
+    parser.add_argument("--format", choices=["csv", "json"], default="json")
     return parser
 
 
-def config_from_args(argv) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    file_values = {}
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(raw, dict):
-            raise InputError("config file must hold a JSON object")
-        alias = {"pattern": "pattern_path", "host": "host_path",
-                 "weights": "weights_path", "M": "m_edges",
-                 "property": "property_name", "B": "bound", "out": "out_path"}
-        for key, value in raw.items():
-            field = alias.get(key, key.replace("-", "_"))
-            file_values[field] = value
-    cfg = RunConfig(command=args.command)
-    if "n_list" in file_values and isinstance(file_values["n_list"], list):
-        file_values["n_list"] = tuple(int(x) for x in file_values["n_list"])
-    for field, value in file_values.items():
+def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The config file's keys as flags: ``--key=value``, lists comma-joined, true bare."""
+    try:
+        raw = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputError("config file must hold a JSON object")
+    known = set(parser._option_string_actions) - {"--config", "-h", "--help"}
+    flags = []
+    for key, value in raw.items():
+        flag = "--" + key.replace("_", "-")
         # the command is positional only, so a file cannot replace it
-        if field == "command" or not hasattr(cfg, field):
-            raise InputError(f"unknown config key {field!r}")
-        setattr(cfg, field, value)
-    for field in vars(cfg):
-        flag_value = getattr(args, field, None)
-        if flag_value is not None:
-            setattr(cfg, field, flag_value)
-    if isinstance(cfg.n_list, str):
-        cfg.n_list = tuple(int(tok) for tok in cfg.n_list.split(",") if tok.strip())
-    if args.workers is None and "workers" not in file_values:
-        cfg.workers = max(1, os.cpu_count() or 1)
+        if flag not in known:
+            raise InputError(f"unknown config key {key!r}")
+        if value is True:
+            flags.append(flag)
+        elif isinstance(value, list):
+            flags.append(f"{flag}={','.join(map(str, value))}")
+        else:
+            flags.append(f"{flag}={value}")
+    return flags
+
+
+def config_from_args(argv) -> argparse.Namespace:
+    parser = build_parser()
+    cfg = parser.parse_args(argv)
+    if cfg.config:
+        # file values come first, so the command line's flags win
+        cfg = parser.parse_args(_config_flags(parser, cfg.config) + list(argv))
     if cfg.workers < 1:
         raise InputError("workers must be at least 1")
     return cfg
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
     _DISPATCH[cfg.command](cfg)
     return 0
 
@@ -462,10 +430,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

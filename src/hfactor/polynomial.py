@@ -255,10 +255,12 @@ def hypothesis_check(
     The named checks, on the normalized polynomial (max coefficient 1):
     all-order needs E >= n^eps * max of every derivative order; the
     low-order pair bound orders 1..d-1, absolutely or relative to E, plus a
-    growth floor on E; the nonconstant variants use the nonconstant-part
-    maxima instead; the upper-tail pair asks a ceiling A to dominate the
+    growth floor on E; the upper-tail pair asks a ceiling A to dominate the
     growth floor plus n^eps times those maxima, with A the expectation E
-    itself (reported as ``a_bound``); small-ceiling needs every
+    itself (reported as ``a_bound``); the nonconstant variants of the
+    relative and upper-tail checks use the nonconstant-part maximum, which
+    below the degree is the low-order maximum, so they report what their
+    twins do under another name; small-ceiling needs every
     quantity, E included, at most n^-eps.  Growth conditions of the
     omega(log n) kind are parameterized by omega_threshold (default
     10 * log n) since they are not decidable at a fixed n; reports carry the
@@ -287,36 +289,25 @@ def hypothesis_check(
     def ratio(num, den):
         return num / den if den > 0 else math.inf
 
+    # orders 1..d-1; the same float as eprime_max / norm
+    low = max((e_by[j] for j in range(1, d)), default=0.0)
     if theorem == "all-order":
         top = max((e_by[j] for j in range(1, d + 1)), default=0.0)
         report["binding_ratio"] = ratio(n**eps * top, e0)
         report["passes"] = e0 >= n**eps * top and top >= 0
     elif theorem == "absolute-low-order":
-        top = max((e_by[j] for j in range(1, d)), default=0.0)
-        report["binding_ratio"] = top * n**eps
-        report["passes"] = e0 > omega_threshold and top <= n ** (-eps)
-    elif theorem == "relative-low-order":
-        top = max((e_by[j] for j in range(1, d)), default=0.0)
-        report["binding_ratio"] = ratio(top, n ** (-eps) * e0)
-        report["passes"] = e0 > omega_threshold and top <= n ** (-eps) * e0
-    elif theorem == "upper-tail":
-        top = max((e_by[j] for j in range(1, d)), default=0.0)
-        needed = omega_threshold + n**eps * top
-        report["a_bound"] = e0
-        report["binding_ratio"] = ratio(needed, e0)
-        report["passes"] = e0 >= needed
-    elif theorem == "nonconstant-relative":
-        top = prof["eprime_max"] / norm
-        report["binding_ratio"] = ratio(top, n ** (-eps) * e0)
-        report["passes"] = e0 > omega_threshold and top <= n ** (-eps) * e0
-    elif theorem == "nonconstant-upper-tail":
-        top = prof["eprime_max"] / norm
-        needed = omega_threshold + n**eps * top
+        report["binding_ratio"] = low * n**eps
+        report["passes"] = e0 > omega_threshold and low <= n ** (-eps)
+    elif theorem in ("relative-low-order", "nonconstant-relative"):
+        report["binding_ratio"] = ratio(low, n ** (-eps) * e0)
+        report["passes"] = e0 > omega_threshold and low <= n ** (-eps) * e0
+    elif theorem in ("upper-tail", "nonconstant-upper-tail"):
+        needed = omega_threshold + n**eps * low
         report["a_bound"] = e0
         report["binding_ratio"] = ratio(needed, e0)
         report["passes"] = e0 >= needed
     else:  # small-ceiling: the ceiling includes the plain expectation
-        top = max(e0, prof["eprime_max"] / norm)
+        top = max(e0, low)
         report["binding_ratio"] = top * n**eps
         report["passes"] = top <= n ** (-eps)
     return report

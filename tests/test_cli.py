@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hfactor
 from hfactor.cli import main
 
 K3_TEXT = "graph 3\n0 1\n1 2\n0 2\n"
@@ -309,3 +313,113 @@ def test_workers_byte_identical(args, k2_file, k3_file, capsys):
         outputs.append(out)
     assert outputs[0] == outputs[1]
     assert outputs[0]
+
+
+# (config file, flags that override it, the same options as flags alone);
+# "PATTERN" stands for the pattern file
+CONFIG_CASES = {
+    # a file value takes the flag's type: "p": 1 is reported as 1.0, as --p 1 is
+    "count": ({"pattern": "PATTERN", "n": 9, "p": 1, "seed": 7, "format": "json"},
+              ["--seed", "3"],
+              ["--pattern", "PATTERN", "--n", "9", "--p", "1", "--seed", "3"]),
+    "scan": ({"pattern": "PATTERN", "n_list": [8, 12], "trials": 20, "seed": 1,
+              "property": "coverage", "workers": 1},
+             ["--trials", "10"],
+             ["--pattern", "PATTERN", "--n-list", "8,12", "--trials", "10", "--seed", "1",
+              "--property", "coverage", "--workers", "1"]),
+    "trace": ({"pattern": "PATTERN", "n": 9, "seed": 3, "t-max": 5, "b_level": 3,
+               "format": "csv"},
+              ["--seed", "4"],
+              ["--pattern", "PATTERN", "--n", "9", "--seed", "4", "--t-max", "5",
+               "--b-level", "3", "--format", "csv"]),
+    "models": ({"pattern": "PATTERN", "n": 8, "p": 0.35, "trials": 100, "seed": 2,
+                "sweep": True, "workers": "1"},
+               ["--p", "0.5"],
+               ["--pattern", "PATTERN", "--n", "8", "--p", "0.5", "--trials", "100",
+                "--seed", "2", "--sweep", "--workers", "1"]),
+    "poly": ({"pattern": "PATTERN", "n": 8, "p": 1, "mode": "check", "theorem": "upper-tail",
+              "collapse": True, "anchor_role": 0, "anchor-vertex": 0, "eps": 0.3},
+             ["--eps", "0.2"],
+             ["--pattern", "PATTERN", "--n", "8", "--p", "1", "--mode", "check",
+              "--theorem", "upper-tail", "--collapse", "--anchor-role", "0",
+              "--anchor-vertex", "0", "--eps", "0.2"]),
+    "regularity": ({"pattern": "PATTERN", "n": 12, "p": 0.8, "seed": 3, "eps": 0.5, "beta": 20},
+                   ["--beta", "30"],
+                   ["--pattern", "PATTERN", "--n", "12", "--p", "0.8", "--seed", "3",
+                    "--eps", "0.5", "--beta", "30"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+def test_config_file_matches_flags(command, k2_file, k3_file, tmp_path, capsys):
+    pattern = k2_file if command in ("scan", "models") else k3_file
+    file_values, overrides, flags = CONFIG_CASES[command]
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        {k: pattern if v == "PATTERN" else v for k, v in file_values.items()}
+    ))
+    code, from_file, _ = run_cli([command, "--config", str(config), *overrides], capsys)
+    assert code == 0
+    code, from_flags, _ = run_cli(
+        [command, *(pattern if f == "PATTERN" else f for f in flags)], capsys
+    )
+    assert code == 0
+    assert from_file == from_flags
+    assert from_file
+
+
+@pytest.mark.parametrize(
+    "file_values",
+    [{"format": "xml"}, {"n": "six"}, {"collapse": "no"}, {"pattern_path": "p.txt"},
+     {"config": "other.json"}],
+    ids=["format-choice", "n-type", "switch-value", "dest-name", "config-key"],
+)
+def test_config_file_values_pass_flag_checks(file_values, k3_file, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(file_values))
+    code, out, err = run_cli(
+        ["count", "--pattern", k3_file, "--n", "6", "--config", str(config)], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["martingale-check", "shearer"])
+def test_battery_needs_a_trial(command, k2_file, capsys):
+    code, out, err = run_cli(
+        [command, "--pattern", k2_file, "--n", "6", "--trials", "0", "--p", "0.8"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert "need at least one trial" in err
+
+
+MALFORMED = {
+    "pattern-dir": ["analyze", "--pattern", "DIR"],
+    "out-dir": ["analyze", "--pattern", "K3", "--out", "DIR"],
+    "pattern-not-utf8": ["analyze", "--pattern", "LATIN1"],
+    "window-weight": ["window", "--weights", "BAD_WEIGHT"],
+    "weight-lemma-id": ["weight-lemma", "--weights", "BAD_ID", "--n", "6", "--v", "2"],
+    "n-list": ["scan", "--pattern", "K3", "--n-list", "12,a"],
+    "config-not-json": ["count", "--pattern", "K3", "--n", "6", "--config", "NOT_JSON"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_an_error_line(case, k3_file, tmp_path):
+    files = {"DIR": tmp_path, "K3": k3_file}
+    for name, data in [("LATIN1", b"graph 3\n0 1 # caf\xe9\n"), ("BAD_WEIGHT", b"a,1.0\nb,x\n"),
+                       ("BAD_ID", b"0,1,1.5\n0,b,1.5\n"), ("NOT_JSON", b'{"n": 6,}')]:
+        files[name] = tmp_path / name
+        files[name].write_bytes(data)
+    src = str(Path(hfactor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hfactor.cli", *(str(files.get(a, a)) for a in MALFORMED[case])],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

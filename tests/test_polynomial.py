@@ -169,6 +169,34 @@ def test_hypothesis_check_relative_low_order_triangles():
     assert rep["passes"] == expected_pass
 
 
+@pytest.mark.parametrize(
+    "plain,nonconstant",
+    [("relative-low-order", "nonconstant-relative"), ("upper-tail", "nonconstant-upper-tail")],
+)
+def test_hypothesis_check_nonconstant_variants(plain, nonconstant):
+    # below the degree the low-order maximum is the nonconstant-part maximum,
+    # so each nonconstant report is its plain twin's under another name
+    for pat, n, pinned, collapse, p, eps in itertools.product(
+        (K2, K3, path_pattern(3), cycle_pattern(4)), (6, 40), (False, True), (False, True),
+        (0.05, 0.5, 1.0), (0.25, 1.0),
+    ):
+        anchor = ConstraintSpec(((0, 0),), pat.edges) if pinned else None
+        f = CopyPolynomial(pattern=pat, n=n, anchor=anchor, collapse=collapse)
+        rep = hypothesis_check(f, p, eps, nonconstant)
+        assert rep.pop("theorem") == nonconstant
+        twin = hypothesis_check(f, p, eps, plain)
+        del twin["theorem"]
+        assert rep == twin
+        prof = derivative_profile(f, p)
+        e0, top = prof["expectation"], prof["eprime_max"]
+        if plain == "relative-low-order" and e0 > 0:
+            assert rep["binding_ratio"] == pytest.approx(top / (n**-eps * e0))
+        elif plain == "upper-tail" and e0 > 0:
+            norm = prof["normalization"] or 1
+            needed = rep["omega_threshold"] + n**eps * top / norm
+            assert rep["binding_ratio"] == pytest.approx(needed * norm / e0)
+
+
 def test_hypothesis_check_small_ceiling():
     f = edges_at(0, n=30)
     rep = hypothesis_check(f, 1e-4, 0.5, "small-ceiling")
