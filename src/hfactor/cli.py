@@ -129,6 +129,8 @@ def _cmd_analyze(cfg: argparse.Namespace) -> None:
 
 
 def _cmd_count(cfg: argparse.Namespace) -> None:
+    if sum(x is not None for x in (cfg.host, cfg.p, cfg.M)) > 1:
+        raise InputError("count takes only one of --host, --p and --M")
     p = _load_pattern(cfg)
     if cfg.host:
         g = _load_host(cfg)

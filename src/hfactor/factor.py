@@ -133,29 +133,23 @@ class FactorCounter:
             mask = self.full_mask
         memo = self._memo
         blocks = self._blocks_by_min
-        stack = [mask]
-        while stack:
-            m = stack[-1]
-            if m in memo:
-                stack.pop()
-                continue
-            lo = (m & -m).bit_length() - 1
+
+        # recursion stays in this closure (depth <= n/v), so each unknown
+        # state scans its block list once and count is entered once per query
+        def fill(m: int) -> int:
             total = 0
-            ready = True
-            for bmask, emb in blocks[lo]:
+            for bmask, emb in blocks[(m & -m).bit_length() - 1]:
                 if bmask & m == bmask:
-                    rest = m & ~bmask
+                    rest = m ^ bmask
                     sub = memo.get(rest)
                     if sub is None:
-                        if ready:
-                            ready = False
-                        stack.append(rest)
-                    elif ready:
-                        total += emb * sub
-            if ready:
-                memo[m] = total
-                stack.pop()
-        return memo[mask]
+                        sub = fill(rest)
+                    total += emb * sub
+            memo[m] = total
+            return total
+
+        found = memo.get(mask)
+        return fill(mask) if found is None else found
 
     def count_excluding(self, vertices) -> int:
         mask = self.full_mask

@@ -6,13 +6,15 @@ execution order or worker count; parallelism only changes wall time.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 
 def run_trials(worker, payloads, workers: int = 1) -> list:
-    """Map a top-level worker over payloads, preserving order."""
+    """Map a top-level worker over payloads in order, on at most one process per payload and CPU."""
     payloads = list(payloads)
-    if workers <= 1 or len(payloads) < 2:
+    workers = min(workers, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(p) for p in payloads]
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -69,6 +69,25 @@ def test_count_smallest_positive_p(k2_file, capsys):
     assert json.loads(out)["labeled"] == 0
 
 
+@pytest.mark.parametrize(
+    "sources",
+    [["--p", "0.5", "--M", "3"], ["--host", "HOST", "--p", "0.5"],
+     ["--host", "HOST", "--M", "3"], ["--host", "HOST", "--p", "0.5", "--M", "3"]],
+    ids=["p-M", "host-p", "host-M", "all-three"],
+)
+def test_count_rejects_two_host_sources(sources, k2_file, tmp_path, capsys):
+    host_path = tmp_path / "k6.txt"
+    host_path.write_text("graph 6\n" + "".join(f"{i} {i + 1}\n" for i in range(5)))
+    args = [str(host_path) if a == "HOST" else a for a in sources]
+    code, out, err = run_cli(
+        ["count", "--pattern", k2_file, "--n", "6", "--seed", "1", *args], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "only one of --host, --p and --M" in err
+
+
 def test_trace_csv_deterministic(k3_file, tmp_path, capsys):
     args = ["trace", "--pattern", k3_file, "--n", "6", "--seed", "3",
             "--format", "csv"]

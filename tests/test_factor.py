@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import graph_hosts, graph_patterns
 from oracles import injection_copies, partition_factor_count
@@ -279,3 +279,62 @@ def test_without_edge_matches_fresh_counter(p, n):
                 counter.exists(masks[0])
             assert [carried.exists(m) for m in masks] == [fresh.exists(m) for m in masks]
             assert [carried.count(m) for m in masks] == [fresh.count(m) for m in masks]
+            assert carried.copies_per_edge_max() == fresh.copies_per_edge_max()
+            assert carried.copy_vertex_degrees() == fresh.copy_vertex_degrees()
+            assert [carried.count_using_edge(x) for x in g.edges] == [
+                fresh.count_using_edge(x) for x in g.edges
+            ]
+
+
+def _induced(g, mask):
+    """The host induced on the masked vertices, relabeled 0..|mask|-1."""
+    index = {x: i for i, x in enumerate(x for x in range(g.n) if mask >> x & 1)}
+    edges = [tuple(index[x] for x in e) for e in g.edges if all(x in index for x in e)]
+    return host_from_edges(g.k, len(index), edges)
+
+
+COUNT_PATTERNS = {"K2": K2, "K3": K3, "P3": P3, "E3": E3}
+
+
+@st.composite
+def count_queries(draw):
+    """A pattern, a seeded host and a sequence of count / count_excluding queries."""
+    p = COUNT_PATTERNS[draw(st.sampled_from(sorted(COUNT_PATTERNS)))]
+    n = draw(st.integers(min_value=p.v, max_value=9))
+    prob = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
+    g = sample_gnp(p.k, n, prob, draw(st.integers(0, 2**32)))
+    full = (1 << n) - 1
+    queries = draw(st.lists(st.tuples(st.booleans(), st.integers(0, full)), max_size=6))
+    # the whole-host count() goes in at a drawn place, often after the sub-masks
+    queries.insert(draw(st.integers(0, len(queries))), (False, full))
+    return p, g, queries
+
+
+# count(mask) against brute-force partitions of the induced host, with the
+# memo filled by earlier queries of either kind in the order drawn.
+@given(count_queries())
+def test_count_on_submasks_matches_partition_oracle(case):
+    p, g, queries = case
+    counter = FactorCounter(p, g)
+    for excluding, mask in queries:
+        if excluding:
+            got = counter.count_excluding(x for x in range(g.n) if not mask >> x & 1)
+        else:
+            got = counter.count(mask)
+        size = bin(mask).count("1")
+        assert got == (partition_factor_count(p, _induced(g, mask)) if size % p.v == 0 else 0)
+
+
+def test_count_entered_once_per_query(monkeypatch):
+    entered = []
+    original = FactorCounter.count
+
+    def wrapped(self, mask=None):
+        entered.append(mask)
+        return original(self, mask)
+
+    monkeypatch.setattr(FactorCounter, "count", wrapped)
+    counter = FactorCounter(K3, complete_host(2, 12))
+    assert counter.count_excluding((0, 1, 2)) == complete_graph_count(K3, 9).labeled
+    assert counter.count() == complete_graph_count(K3, 12).labeled
+    assert entered == [counter.full_mask & ~0b111, None]
