@@ -131,25 +131,8 @@ class FactorCounter:
         """Number of factors of the host induced on the masked vertex set."""
         if mask is None:
             mask = self.full_mask
-        memo = self._memo
-        blocks = self._blocks_by_min
-
-        # recursion stays in this closure (depth <= n/v), so each unknown
-        # state scans its block list once and count is entered once per query
-        def fill(m: int) -> int:
-            total = 0
-            for bmask, emb in blocks[(m & -m).bit_length() - 1]:
-                if bmask & m == bmask:
-                    rest = m ^ bmask
-                    sub = memo.get(rest)
-                    if sub is None:
-                        sub = fill(rest)
-                    total += emb * sub
-            memo[m] = total
-            return total
-
-        found = memo.get(mask)
-        return fill(mask) if found is None else found
+        found = self._memo.get(mask)
+        return _fill(mask, self._memo, self._blocks_by_min) if found is None else found
 
     def count_excluding(self, vertices) -> int:
         mask = self.full_mask
@@ -198,6 +181,24 @@ class FactorCounter:
         """max over host edges of the number of labeled copies using that edge."""
         table = self._edge_use_table()
         return max((sum(using for _, using in uses) for uses in table.values()), default=0)
+
+
+def _fill(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]]) -> int:
+    """Count a mask missing from the memo, scanning each new state's blocks once.
+
+    A module function, not a closure: the recursion (depth <= n/v) never
+    re-enters count, and no reference cycle keeps a dropped counter's memo.
+    """
+    total = 0
+    for bmask, emb in blocks[(m & -m).bit_length() - 1]:
+        if bmask & m == bmask:
+            rest = m ^ bmask
+            sub = memo.get(rest)
+            if sub is None:
+                sub = _fill(rest, memo, blocks)
+            total += emb * sub
+    memo[m] = total
+    return total
 
 
 def _vertex_mask(vertices) -> int:

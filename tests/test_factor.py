@@ -1,3 +1,4 @@
+import gc
 import math
 from fractions import Fraction
 
@@ -338,3 +339,17 @@ def test_count_entered_once_per_query(monkeypatch):
     assert counter.count_excluding((0, 1, 2)) == complete_graph_count(K3, 9).labeled
     assert counter.count() == complete_graph_count(K3, 12).labeled
     assert entered == [counter.full_mask & ~0b111, None]
+
+
+def test_count_leaves_no_reference_cycle():
+    # a dropped counter's memo is freed by reference counting, not left for
+    # the cycle collector (a carried trace drops one counter per step)
+    counter = FactorCounter(K3, complete_host(2, 12))
+    gc.collect()
+    gc.disable()
+    try:
+        counter.count()
+        del counter
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
