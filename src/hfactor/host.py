@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
-from .parallel import run_trials
+from .parallel import pool_scope, run_trials
 from .pattern import PatternGraph, _parse_edge, _parse_int, _split_header, check_divisible
 from .rng import derive_seed, rng_for
 
@@ -209,6 +209,7 @@ def _factor_sample_worker(payload) -> bool:
     return has_factor(pattern, g)
 
 
+@pool_scope()  # one process pool for all of this call's batches
 def compare_models(
     pattern: PatternGraph,
     n: int,

@@ -15,7 +15,7 @@ from .embed import role_images
 from .errors import InputError
 from .factor import check_cap, counting_cap, has_factor
 from .host import HostGraph, sample_gnp
-from .parallel import run_trials
+from .parallel import pool_scope, run_trials
 from .pattern import PatternGraph, check_divisible, density_profile
 from .rng import derive_seed
 
@@ -102,6 +102,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     return max(0.0, center - half), min(1.0, center + half)
 
 
+@pool_scope()  # one process pool for all of this call's batches
 def threshold_scan(
     pattern: PatternGraph,
     n_list,

@@ -320,8 +320,12 @@ def test_scan_workers_byte_identical(k2_file, capsys):
     [
         ["models", "--n", "8", "--p", "0.5", "--trials", "40", "--seed", "5"],
         ["trace", "--n", "9", "--seed", "4"],
+        # five batches through one shared pool
+        ["models", "--n", "8", "--p", "0.5", "--trials", "40", "--seed", "5", "--sweep"],
+        ["poly", "--n", "8", "--p", "0.5", "--anchor-role", "0", "--anchor-vertex", "0",
+         "--mode", "trial", "--trials", "20", "--seed", "9"],
     ],
-    ids=["models", "trace"],
+    ids=["models", "trace", "models-sweep", "poly-trial"],
 )
 def test_workers_byte_identical(args, k2_file, k3_file, capsys):
     pattern = k2_file if args[0] == "models" else k3_file
