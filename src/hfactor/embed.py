@@ -110,26 +110,19 @@ def _count_or_collect(pattern: PatternGraph, g: HostGraph, spec: ConstraintSpec,
         pos[x] = i
     for e in spec.constrained_edges:
         edge_ready[max(pos[x] for x in e) + 1].append(e)
-    # the placed pattern vertices of the first ready edge at each depth, whose
-    # images pin down the candidates (None: no ready edge, try every vertex)
+    # the placed pattern vertices of the first ready edge at each depth: the
+    # links of their images are the candidates, which complete that edge, so
+    # only the other ready edges are tested (None: no ready edge, try every vertex)
     anchors = [[y for y in ready[0] if y != x] if ready else None for x, ready in zip(order, edge_ready[1:])]
 
     edge_set = g.edge_set
-    incidence = g.incidence
+    links = g.links
     image = [None] * pattern.v
     for a, x in pins.items():
         image[a] = x
     used = set(pins.values())
     count = 0
     results = [] if collect else None
-
-    def candidates(i: int):
-        if anchors[i] is None:
-            return range(g.n)
-        placed = {image[y] for y in anchors[i]}
-        # the missing vertex of each host edge through the placed images;
-        # edges are sorted tuples, so these come out in increasing order
-        return [c for h in incidence[image[anchors[i][0]]] if placed.issubset(h) for c in h if c not in placed]
 
     def extend(i: int) -> None:
         nonlocal count
@@ -138,12 +131,12 @@ def _count_or_collect(pattern: PatternGraph, g: HostGraph, spec: ConstraintSpec,
             if collect:
                 results.append(tuple(image))
             return
-        x = order[i]
-        for c in candidates(i):
+        x, anchor, others = order[i], anchors[i], edge_ready[i + 1][1:]
+        for c in range(g.n) if anchor is None else links.get(tuple(sorted(image[y] for y in anchor)), ()):
             if c in used:
                 continue
             image[x] = c
-            if all(frozenset(image[y] for y in e) in edge_set for e in edge_ready[i + 1]):
+            if all(frozenset(image[y] for y in e) in edge_set for e in others):
                 used.add(c)
                 extend(i + 1)
                 used.discard(c)

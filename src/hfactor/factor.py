@@ -82,14 +82,14 @@ class FactorCounter:
         self._dead: set[int] = set()
         self._edge_uses: dict[frozenset[int], list[tuple[int, int]]] | None = None
         self._blocks_by_min: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        self._block_emb: dict[int, int] = {}
+        self._blocks: list[tuple[int, int]] = []
         self._precompute_blocks()
 
     def _precompute_blocks(self) -> None:
         for block, emb in host_blocks(self.pattern, self.host):
-            mask = _vertex_mask(block)
-            self._blocks_by_min[block[0]].append((mask, emb))
-            self._block_emb[mask] = emb
+            item = (_vertex_mask(block), emb)
+            self._blocks_by_min[block[0]].append(item)
+            self._blocks.append(item)
 
     def _edge_use_table(self) -> dict[frozenset[int], list[tuple[int, int]]]:
         """Host edge -> [(block mask, labeled copies in the block using the edge)]."""
@@ -98,7 +98,7 @@ class FactorCounter:
             table: dict[frozenset[int], list[tuple[int, int]]] = {}
             if p.is_single_edge() or p.is_complete_graph():
                 # every embedding uses every k-subset of its block
-                for bmask, emb in self._block_emb.items():
+                for bmask, emb in self._blocks:
                     for e in itertools.combinations(mask_bits(bmask), p.k):
                         table.setdefault(frozenset(e), []).append((bmask, emb))
             else:
@@ -124,8 +124,8 @@ class FactorCounter:
         return child
 
     def block_items(self):
-        """(mask, embedding count) over every block hosting a copy."""
-        return self._block_emb.items()
+        """(mask, embedding count) of every block hosting a copy, in host_blocks order."""
+        return self._blocks
 
     def count(self, mask: int | None = None) -> int:
         """Number of factors of the host induced on the masked vertex set."""
@@ -175,7 +175,7 @@ class FactorCounter:
 
     def copy_vertex_degrees(self) -> list[int]:
         """Labeled copies through each vertex, summed from block multiplicities."""
-        return block_degrees(self.host.n, ((mask_bits(m), emb) for m, emb in self._block_emb.items()))
+        return block_degrees(self.host.n, ((mask_bits(m), emb) for m, emb in self._blocks))
 
     def copies_per_edge_max(self) -> int:
         """max over host edges of the number of labeled copies using that edge."""

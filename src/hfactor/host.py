@@ -56,12 +56,13 @@ class HostGraph:
         return frozenset(frozenset(e) for e in self.edges)
 
     @cached_property
-    def incidence(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        inc: dict[int, list] = {x: [] for x in range(self.n)}
-        for e in self.edges:
-            for x in e:
-                inc[x].append(e)
-        return {x: tuple(es) for x, es in inc.items()}
+    def links(self) -> dict[tuple[int, ...], list[int]]:
+        """Sorted (k-1)-tuple -> the vertices completing it to an edge, increasing (k=2: neighbours)."""
+        links: dict[tuple[int, ...], list[int]] = {}
+        for e in self.edges:  # sorted edges give each list in increasing order
+            for i, x in enumerate(e):
+                links.setdefault(e[:i] + e[i + 1:], []).append(x)
+        return links
 
     @cached_property
     def adjacency(self) -> tuple[int, ...]:

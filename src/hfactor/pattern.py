@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import InputError
 
@@ -65,10 +64,6 @@ class PatternGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def edge_set(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset(e) for e in self.edges)
 
     def is_complete_graph(self) -> bool:
         return self.k == 2 and self.m == math.comb(self.v, 2)

@@ -48,6 +48,9 @@ class CopyPolynomial:
     def __post_init__(self):
         if self.n < self.pattern.v:
             raise InputError(f"need n >= {self.pattern.v}, got {self.n}")
+        for _, x in self.spec.pins:
+            if not 0 <= x < self.n:
+                raise InputError(f"pin image {x} out of range")
 
     @property
     def spec(self) -> ConstraintSpec:

@@ -120,6 +120,8 @@ def run_process(
     """
     check_divisible(pattern, n)
     check_cap(pattern, n)
+    if t_max is not None and t_max < 0:
+        raise InputError(f"t_max must be nonnegative, got {t_max}")
     ordering = random_ordering(pattern.k, n, seed)
     total = total_edges(pattern.k, n)
     counter = FactorCounter(pattern, complete_host(pattern.k, n))

@@ -87,10 +87,16 @@ def all_subgraph_profile(p: PatternGraph):
     return best_global, {x: (best[x], fewest[x]) for x in range(p.v)}
 
 
+def edge_set(edges) -> frozenset[frozenset[int]]:
+    """The edges as vertex sets, for membership tests."""
+    return frozenset(frozenset(e) for e in edges)
+
+
 def automorphisms_bruteforce(p: PatternGraph) -> int:
     count = 0
+    edges = edge_set(p.edges)
     for perm in itertools.permutations(range(p.v)):
-        if all(frozenset(perm[x] for x in e) in p.edge_set for e in p.edges):
+        if all(frozenset(perm[x] for x in e) in edges for e in p.edges):
             count += 1
     return count
 
@@ -98,16 +104,21 @@ def automorphisms_bruteforce(p: PatternGraph) -> int:
 def injection_copies(p: PatternGraph, g: HostGraph):
     """Every labeled copy, by filtering all injections."""
     out = []
+    edges = edge_set(g.edges)
     for perm in itertools.permutations(range(g.n), p.v):
-        if all(frozenset(perm[x] for x in e) in g.edge_set for e in p.edges):
+        if all(frozenset(perm[x] for x in e) in edges for e in p.edges):
             out.append(perm)
     return out
 
 
 def block_embeddings(p: PatternGraph, g: HostGraph, block) -> int:
+    return _block_embeddings(p, edge_set(g.edges), block)
+
+
+def _block_embeddings(p: PatternGraph, edges, block) -> int:
     count = 0
     for perm in itertools.permutations(block):
-        if all(frozenset(perm[x] for x in e) in g.edge_set for e in p.edges):
+        if all(frozenset(perm[x] for x in e) in edges for e in p.edges):
             count += 1
     return count
 
@@ -130,10 +141,11 @@ def partition_factor_count(p: PatternGraph, g: HostGraph) -> int:
     if g.n % p.v:
         raise ValueError("vertex count not divisible")
     total = 0
+    edges = edge_set(g.edges)
     for part in iter_block_partitions(list(range(g.n)), p.v):
         prod = 1
         for block in part:
-            prod *= block_embeddings(p, g, block)
+            prod *= _block_embeddings(p, edges, block)
             if prod == 0:
                 break
         total += prod
@@ -143,13 +155,14 @@ def partition_factor_count(p: PatternGraph, g: HostGraph) -> int:
 def factor_list(p: PatternGraph, g: HostGraph):
     """Every labeled factor as a frozenset of copies; exponential, tiny n only."""
     factors = []
+    edges = edge_set(g.edges)
     for part in iter_block_partitions(list(range(g.n)), p.v):
         per_block = []
         for block in part:
             embs = [
                 perm
                 for perm in itertools.permutations(block)
-                if all(frozenset(perm[x] for x in e) in g.edge_set for e in p.edges)
+                if all(frozenset(perm[x] for x in e) in edges for e in p.edges)
             ]
             if not embs:
                 per_block = None
@@ -255,6 +268,5 @@ def derivative_profile_bruteforce(f, p: float) -> dict:
 
 def evaluate_bruteforce(f, g: HostGraph) -> int:
     """Coefficient sum of the terms whose edges are all present in g."""
-    return sum(
-        c for u, c in edge_image_terms(f).items() if all(frozenset(e) in g.edge_set for e in u)
-    )
+    edges = edge_set(g.edges)
+    return sum(c for u, c in edge_image_terms(f).items() if all(frozenset(e) in edges for e in u))

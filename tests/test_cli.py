@@ -418,6 +418,25 @@ def test_battery_needs_a_trial(command, k2_file, capsys):
     assert "need at least one trial" in err
 
 
+@pytest.mark.parametrize("mode", ["profile", "check", "trial"])
+@pytest.mark.parametrize("image", ["999", "-5"])
+def test_poly_anchor_image_outside_host(mode, image, k3_file, capsys):
+    code, out, err = run_cli(
+        ["poly", "--pattern", k3_file, "--n", "30", "--p", "0.1", "--mode", mode,
+         "--anchor-role", "0", "--anchor-vertex", image], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: pin image {image} out of range\n"
+
+
+def test_trace_rejects_negative_t_max(k2_file, capsys):
+    code, out, err = run_cli(["trace", "--pattern", k2_file, "--n", "4", "--t-max", "-3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 MALFORMED = {
     "pattern-dir": ["analyze", "--pattern", "DIR"],
     "out-dir": ["analyze", "--pattern", "K3", "--out", "DIR"],

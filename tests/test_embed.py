@@ -184,6 +184,8 @@ DIFF_PATTERNS = [
     pattern_from_edges(2, 4, [(0, 1), (1, 2)]),  # vertex 3 isolated
     pattern_from_edges(3, 4, [(0, 1, 2), (1, 2, 3)]),
     pattern_from_edges(3, 5, [(0, 1, 2), (2, 3, 4)]),
+    # the complete 3-graph on 4 vertices: its last vertex closes three triples
+    pattern_from_edges(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
 ]
 
 

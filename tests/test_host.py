@@ -153,13 +153,17 @@ def test_gnp_mean_edge_count():
     assert abs(mean - total * p) <= 4 * se
 
 
-def test_incidence_consistent():
-    g = sample_gnp(2, 10, 0.5, 5)
-    rebuilt = {x: [] for x in range(g.n)}
-    for e in g.edges:
-        for x in e:
-            rebuilt[x].append(e)
-    assert {x: tuple(es) for x, es in rebuilt.items()} == g.incidence
+def test_links_consistent():
+    for (k, n, p), seed in itertools.product([(2, 10, 0.5), (3, 9, 0.4)], range(5)):
+        g = sample_gnp(k, n, p, seed)
+        rebuilt = {}
+        for e in g.edges:
+            for x in e:
+                rebuilt.setdefault(tuple(sorted(set(e) - {x})), set()).add(x)
+        assert {key: sorted(xs) for key, xs in rebuilt.items()} == g.links
+        for key, xs in g.links.items():
+            assert len(key) == k - 1 and list(key) == sorted(key)
+            assert all(a < b for a, b in zip(xs, xs[1:]))
 
 
 def test_host_parse_roundtrip():

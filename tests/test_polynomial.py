@@ -403,3 +403,10 @@ def test_derivative_expectation_rejects_bad_edges(edge):
     f = CopyPolynomial(pattern=K3, n=6)
     with pytest.raises(InputError):
         derivative_expectation(f, [edge], 0.5)
+
+
+@pytest.mark.parametrize("image", [6, 999, -5])
+def test_anchor_image_outside_host_is_rejected(image):
+    anchor = ConstraintSpec(((0, image),), K3.edges)
+    with pytest.raises(InputError, match=f"pin image {image} out of range"):
+        CopyPolynomial(pattern=K3, n=6, anchor=anchor)

@@ -154,6 +154,8 @@ def test_process_validation():
         run_process(K3, 7, seed=0)
     with pytest.raises(InputError):
         run_process(K2, 30, seed=0)
+    with pytest.raises(InputError, match="t_max must be nonnegative"):
+        run_process(K2, 4, seed=0, t_max=-3)
 
 
 # Per step (xi, max_copies_per_edge, min_copy_degree, prev_maxr, guard_ok),
