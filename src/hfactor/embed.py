@@ -224,7 +224,7 @@ def degree_regularity(pattern: PatternGraph, g: HostGraph, p: float, eps: float)
     This is part (b) of the regularity check; part (a) is
     ``polynomial.regularity_report``.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InputError("eps must be positive")
     degs = copy_degrees(pattern, g)
     expected = expected_copy_degree(pattern, g.n, p)

@@ -32,8 +32,8 @@ class WeightedFamily:
     def __post_init__(self):
         if len(self.ids) != len(self.weights):
             raise InputError("ids and weights must have equal length")
-        if any(w < 0 for w in self.weights):
-            raise InputError("weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in self.weights):
+            raise InputError("weights must be finite and nonnegative")
 
     @property
     def total(self) -> float:
@@ -94,14 +94,12 @@ def copy_distribution(pattern: PatternGraph, g: HostGraph, y: int) -> CopyDistri
     )
 
 
-def _vertex_entropies(pattern: PatternGraph, counter: FactorCounter) -> list[float]:
+def _vertex_entropies(counter: FactorCounter) -> list[float]:
     """h(y) for every vertex from block-level weights; weights repeat per embedding."""
     n = counter.host.n
     total = counter.count()
     per_vertex = [[] for _ in range(n)]
-    full = counter.full_mask
-    for bmask, emb in counter.block_items():
-        w = counter.count(full & ~bmask)
+    for (bmask, emb), w in zip(counter.block_items(), counter.block_weights()):
         if w > 0:
             for x in mask_bits(bmask):
                 per_vertex[x].append((w, emb))
@@ -124,7 +122,7 @@ def shearer_check(pattern: PatternGraph, g: HostGraph) -> dict:
     total = counter.count()
     if total == 0:
         raise NoFactorError("host has no factor")
-    entropies = _vertex_entropies(pattern, counter)
+    entropies = _vertex_entropies(counter)
     log_count = math.log(total)
     bound = sum(entropies) / pattern.v
     slack = bound - log_count
@@ -196,8 +194,8 @@ def weight_lemma_check(n: int, v: int, weights: dict, bound: float) -> dict:
             raise InputError(f"weight key {key} is not a v-subset of range(n)")
         if fkey in table:
             raise InputError(f"duplicate weight key {key}")
-        if w < 0:
-            raise InputError("weights must be nonnegative")
+        if not 0 <= w < math.inf:
+            raise InputError("weights must be finite and nonnegative")
         table[fkey] = w
     for z in itertools.combinations(range(n), v):
         table.setdefault(frozenset(z), 0.0)

@@ -78,8 +78,8 @@ class FactorCounter:
         self.pattern = pattern
         self.host = g
         self.full_mask = (1 << g.n) - 1
+        # exact counts, and 0 for every mask exists() found no factor on
         self._memo: dict[int, int] = {0: 1}
-        self._dead: set[int] = set()
         self._edge_uses: dict[frozenset[int], list[tuple[int, int]]] | None = None
         self._blocks_by_min: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
         self._blocks: list[tuple[int, int]] = []
@@ -114,18 +114,21 @@ class FactorCounter:
     def without_edge(self, e) -> FactorCounter:
         """Counter on the host minus edge e, keeping what e cannot change.
 
-        A count on a mask missing a vertex of e involves no block through e,
-        and deleting an edge only removes factors, so dead masks stay dead.
+        A count on a mask missing a vertex of e involves no block through e.
         """
         emask = sum(1 << x for x in e)
         child = FactorCounter(self.pattern, self.host.without_edge(e))
         child._memo = {m: c for m, c in self._memo.items() if m & emask != emask}
-        child._dead = set(self._dead)
         return child
 
     def block_items(self):
         """(mask, embedding count) of every block hosting a copy, in host_blocks order."""
         return self._blocks
+
+    def block_weights(self) -> list[int]:
+        """Factors of the host minus each block, in block_items order."""
+        full = self.full_mask
+        return [self.count(full & ~bmask) for bmask, _ in self._blocks]
 
     def count(self, mask: int | None = None) -> int:
         """Number of factors of the host induced on the masked vertex set."""
@@ -156,13 +159,9 @@ class FactorCounter:
         return sum(using * self.count(full & ~bmask) for bmask, using in uses)
 
     def exists(self, mask: int | None = None) -> bool:
-        """Factor existence with failure memoization and early exit."""
+        """Factor existence with early exit; a failed mask is memoized as count 0."""
         if mask is None:
             mask = self.full_mask
-        if mask == 0:
-            return True
-        if mask in self._dead:
-            return False
         pos = self._memo.get(mask)
         if pos is not None:
             return pos > 0
@@ -170,7 +169,7 @@ class FactorCounter:
         for bmask, _ in self._blocks_by_min[lo]:
             if bmask & mask == bmask and self.exists(mask & ~bmask):
                 return True
-        self._dead.add(mask)
+        self._memo[mask] = 0
         return False
 
     def copy_vertex_degrees(self) -> list[int]:
@@ -340,10 +339,8 @@ def c_statistic(pattern: PatternGraph, g: HostGraph) -> dict:
         )
         mx = vals[-1]
         med = vals[(len(vals) - 1) // 2]
-        bound = max(floor_term, Fraction(2 * med))
-        ratio = Fraction(mx) / bound if bound > 0 else Fraction(0) if mx == 0 else None
-        if ratio is None:
-            ratio = Fraction(mx + 1)  # positive max against zero bound
+        bound = max(floor_term, Fraction(2 * med))  # >= floor_term > 0
+        ratio = Fraction(mx) / bound
         holds = Fraction(mx) <= bound
         if not holds:
             violations.append(y)

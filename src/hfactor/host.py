@@ -149,7 +149,7 @@ def _edges_at_ranks(ranks, n: int, k: int):
         yield tuple(x)
 
 
-def _check_sampling_size(n: int, k: int) -> None:
+def check_sampling_size(n: int, k: int) -> None:
     if n > MAX_HOST_VERTICES_SAMPLING:
         raise InputError(f"sampling is capped at n={MAX_HOST_VERTICES_SAMPLING}")
     if n < k:
@@ -158,7 +158,7 @@ def _check_sampling_size(n: int, k: int) -> None:
 
 def sample_gnp(k: int, n: int, p: float, seed: int) -> HostGraph:
     """Independent-edge random host; identical (k, n, p, seed) gives an identical graph."""
-    _check_sampling_size(n, k)
+    check_sampling_size(n, k)
     if not 0.0 <= p <= 1.0:
         raise InputError(f"p must lie in [0, 1], got {p}")
     total = total_edges(k, n)
@@ -180,7 +180,7 @@ def sample_gnp(k: int, n: int, p: float, seed: int) -> HostGraph:
 
 def sample_gnm(k: int, n: int, m_edges: int, seed: int) -> HostGraph:
     """Uniform host with exactly m_edges edges."""
-    _check_sampling_size(n, k)
+    check_sampling_size(n, k)
     total = total_edges(k, n)
     if not 0 <= m_edges <= total:
         raise InputError(f"edge count {m_edges} out of range 0..{total}")

@@ -183,7 +183,7 @@ def regularity_report(
     WORK_CAP are skipped, each skipped pin image counted.  The report states
     which regime ran.
     """
-    if eps <= 0 or beta <= 0:
+    if not (eps > 0 and beta > 0):
         raise InputError("eps and beta must be positive")
     part_b = degree_regularity(pattern, g, p, eps)
     n = g.n
@@ -271,7 +271,7 @@ def hypothesis_check(
     """
     if theorem not in THEOREMS:
         raise InputError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
-    if eps <= 0:
+    if not eps > 0:
         raise InputError("eps must be positive")
     prof = derivative_profile(f, p)
     n, d = f.n, prof["degree"]
@@ -339,7 +339,7 @@ def concentration_trial(
     """Sample hosts, evaluate the polynomial exactly, and report the tail."""
     if trials < 1:
         raise InputError("need at least one trial")
-    if eps <= 0:
+    if not eps > 0:
         raise InputError("eps must be positive")
     mean_expected = expectation(f, p)
     payloads = [(f, p, derive_seed(seed, t)) for t in range(trials)]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .embed import expected_copy_degree
-from .errors import InputError, InvariantError
-from .factor import FactorCounter, check_cap, edge_fraction
+from .errors import InputError, InvariantError, NoFactorError
+from .factor import FactorCounter, check_cap
 from .host import HostGraph, complete_host, random_ordering, total_edges
 from .parallel import run_trials
 from .pattern import PatternGraph, check_divisible
@@ -38,7 +38,7 @@ class ProcessStep:
     # xi <= prev_maxr * max_copies_per_edge / min_copy_degree holds exactly
     max_copies_per_edge: int
     min_copy_degree: int
-    prev_maxr: Fraction | None
+    prev_maxr: Fraction
 
 
 @dataclass
@@ -71,29 +71,21 @@ def gamma(pattern: PatternGraph, n: int, i: int) -> Fraction:
 def _guard_state(
     pattern: PatternGraph, counter: FactorCounter, degs: list[int], p_now: float,
     b_level: float, reg_eps: float,
-) -> tuple[bool, Fraction | None]:
+) -> tuple[bool, Fraction]:
     """Finite-threshold stand-ins for the flatness and regularity events.
 
     Flatness: no copy sits in more than b_level times the average number of
     factors.  Regularity: every per-vertex copy count is within reg_eps
     relative deviation of its independent-edge expectation at the current
-    effective density.  Both are evaluated exactly from the shared counter
+    effective density.  Both are evaluated exactly from the shared counter,
+    whose host has a factor (so its block weights sum to (n/v) * count > 0),
     and its copy degrees degs.  Returns (both hold, the flatness ratio maxr).
     """
     # flatness of per-copy weights
-    weight_sum = 0
-    copy_total = 0
-    max_weight = 0
-    full = counter.full_mask
-    for bmask, emb in counter.block_items():
-        w = counter.count(full & ~bmask)
-        weight_sum += emb * w
-        copy_total += emb
-        if w > max_weight:
-            max_weight = w
-    if copy_total == 0 or weight_sum == 0:
-        return False, None
-    maxr = Fraction(max_weight * copy_total, weight_sum)
+    blocks, weights = counter.block_items(), counter.block_weights()
+    weight_sum = sum(emb * w for (_, emb), w in zip(blocks, weights))
+    copy_total = sum(emb for _, emb in blocks)
+    maxr = Fraction(max(weights) * copy_total, weight_sum)
     if maxr > b_level:
         return False, maxr
     # degree regularity against the expected copy degree
@@ -114,14 +106,19 @@ def run_process(
 ) -> ProcessTrace:
     """Run one deletion trace from the complete host.
 
-    Stops at t_max when given, at extinction of the factor count, or when
-    every edge is gone.  The guard zeroes z from the first step whose
-    preceding graphs ever failed the flatness or regularity thresholds.
+    Stops at t_max when given, else at extinction: the complete host loses
+    its last factor no later than its last edge.  The guard is evaluated
+    once per state (state i: i edges deleted, density 1 - i/#edges) and
+    zeroes z from the first step after a state that failed it.
     """
     check_divisible(pattern, n)
     check_cap(pattern, n)
     if t_max is not None and t_max < 0:
         raise InputError(f"t_max must be nonnegative, got {t_max}")
+    if not reg_eps >= 0:
+        raise InputError(f"reg_eps must be nonnegative, got {reg_eps}")
+    if not b_level > 0:
+        raise InputError(f"b_level must be positive, got {b_level}")
     ordering = random_ordering(pattern.k, n, seed)
     total = total_edges(pattern.k, n)
     counter = FactorCounter(pattern, complete_host(pattern.k, n))
@@ -131,20 +128,22 @@ def run_process(
         pattern=pattern, n=n, seed=seed, t_max=t_max,
         b_level=b_level, reg_eps=reg_eps, log_initial=log_initial,
     )
-    degs = counter.copy_vertex_degrees()
-    guard_ok, prev_maxr = _guard_state(pattern, counter, degs, 1.0, b_level, reg_eps)
-    if not guard_ok:
-        trace.guard_trip_step = 0
+    guard_ok = True
     x_partial = Fraction(0)
     gamma_sum = Fraction(0)
-    mnv = pattern.m * n // pattern.v
 
     for i, edge in enumerate(ordering.sequence, start=1):
+        # state i - 1: the host before the i-th deletion, with phi_prev > 0
+        degs = counter.copy_vertex_degrees()
+        state_ok, prev_maxr = _guard_state(
+            pattern, counter, degs, 1.0 - (i - 1) / total, b_level, reg_eps
+        )
+        if guard_ok and not state_ok:
+            trace.guard_trip_step, guard_ok = i - 1, False
         if t_max is not None and i > t_max:
             trace.stop_reason = "t_max"
             break
         max_beta = counter.copies_per_edge_max()
-        min_degree = min(degs, default=0)
         using = counter.count_using_edge(edge)
         counter = counter.without_edge(edge)
         phi_now = counter.count()
@@ -153,7 +152,7 @@ def run_process(
                 f"step {i}: {phi_now} factors left, expected {phi_prev} - {using} using {edge}"
             )
         xi = Fraction(phi_prev - phi_now, phi_prev)
-        gam = Fraction(mnv, total - i + 1)
+        gam = gamma(pattern, n, i)
         gamma_sum += gam
         z = xi - gam if guard_ok else Fraction(0)
         x_partial += z
@@ -163,7 +162,7 @@ def run_process(
             ProcessStep(
                 i=i, edge=edge, xi=xi, gamma=gam, z=z, x_partial=x_partial,
                 log_factor_count=log_phi, margin=margin, guard_ok=guard_ok,
-                max_copies_per_edge=max_beta, min_copy_degree=min_degree,
+                max_copies_per_edge=max_beta, min_copy_degree=min(degs),
                 prev_maxr=prev_maxr,
             )
         )
@@ -172,14 +171,6 @@ def run_process(
             trace.stop_reason = "extinct"
             break
         phi_prev = phi_now
-        p_now = 1.0 - i / total
-        degs = counter.copy_vertex_degrees()
-        still_ok, prev_maxr = _guard_state(pattern, counter, degs, p_now, b_level, reg_eps)
-        if guard_ok and not still_ok:
-            trace.guard_trip_step = i
-        guard_ok = guard_ok and still_ok
-    else:
-        trace.stop_reason = trace.stop_reason or "exhausted"
     return trace
 
 
@@ -187,17 +178,16 @@ def verify_martingale_step(pattern: PatternGraph, g: HostGraph) -> tuple[Fractio
     """(average edge fraction over all edges, (m*n/v)/|E|); exactly equal.
 
     This is the one-step conditional-mean identity with the conditioning
-    realized as the current graph.
+    realized as the current graph.  Every edge fraction has denominator the
+    factor count, so the factors using each edge are summed first.
     """
     counter = FactorCounter(pattern, g)
     total = counter.count()
     if total == 0:
-        raise InputError("host has no factor")
+        raise NoFactorError("host has no factor")
     if not g.edges:
         raise InputError("host has no edges")
-    acc = Fraction(0)
-    for e in g.edges:
-        acc += edge_fraction(pattern, g, e, counter=counter)
+    acc = Fraction(sum(counter.count_using_edge(e) for e in g.edges), total)
     return acc / len(g.edges), Fraction(pattern.m * g.n // pattern.v, len(g.edges))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .embed import role_images
 from .errors import InputError
 from .factor import check_cap, counting_cap, has_factor
-from .host import HostGraph, sample_gnp
+from .host import HostGraph, check_sampling_size, sample_gnp
 from .parallel import pool_scope, run_trials
 from .pattern import PatternGraph, check_divisible, density_profile
 from .rng import derive_seed
@@ -126,12 +126,17 @@ def threshold_scan(
         raise InputError("target must be strictly between 0 and 1")
     if property_name not in PROPERTIES:
         raise InputError(f"unknown property {property_name!r}; choose from {PROPERTIES}")
-    estimates = []
-    for n_index, n in enumerate(n_list):
+    n_list = list(n_list)
+    formulas = []
+    for n in n_list:  # every n is checked before any host is sampled
         if property_name in ("factor", "role"):
             check_divisible(pattern, n)
         if property_name == "factor":
             check_cap(pattern, n)
+        check_sampling_size(n, pattern.k)
+        formulas.append(formula_threshold(pattern, n)["predicted"])
+    estimates = []
+    for n_index, (n, formula) in enumerate(zip(n_list, formulas)):
         lo, hi = 0.0, 1.0
         probes = []
         violations = 0
@@ -153,7 +158,6 @@ def threshold_scan(
                 hi = mid
             else:
                 lo = mid
-        formula = formula_threshold(pattern, n)["predicted"]
         p_half = (lo + hi) / 2.0
         estimates.append(
             ThresholdEstimate(

@@ -445,6 +445,15 @@ MALFORMED = {
     "weight-lemma-id": ["weight-lemma", "--weights", "BAD_ID", "--n", "6", "--v", "2"],
     "n-list": ["scan", "--pattern", "K3", "--n-list", "12,a"],
     "config-not-json": ["count", "--pattern", "K3", "--n", "6", "--config", "NOT_JSON"],
+    "window-inf": ["window", "--weights", "INF_WEIGHT"],
+    "window-nan": ["window", "--weights", "NAN_WEIGHT"],
+    "weight-lemma-nan": ["weight-lemma", "--weights", "NAN_LEMMA", "--n", "6", "--v", "2"],
+    "regularity-eps-nan": ["regularity", "--pattern", "K3", "--n", "6", "--p", "0.5", "--eps", "nan"],
+    "poly-check-eps-nan": ["poly", "--pattern", "K3", "--n", "6", "--p", "0.5", "--mode", "check",
+                           "--eps", "nan"],
+    "trace-eps-nan": ["trace", "--pattern", "K3", "--n", "6", "--eps", "nan"],
+    "trace-eps-negative": ["trace", "--pattern", "K3", "--n", "6", "--eps", "-1"],
+    "trace-b-level-nan": ["trace", "--pattern", "K3", "--n", "6", "--b-level", "nan"],
 }
 
 
@@ -452,7 +461,9 @@ MALFORMED = {
 def test_malformed_input_is_an_error_line(case, k3_file, tmp_path):
     files = {"DIR": tmp_path, "K3": k3_file}
     for name, data in [("LATIN1", b"graph 3\n0 1 # caf\xe9\n"), ("BAD_WEIGHT", b"a,1.0\nb,x\n"),
-                       ("BAD_ID", b"0,1,1.5\n0,b,1.5\n"), ("NOT_JSON", b'{"n": 6,}')]:
+                       ("BAD_ID", b"0,1,1.5\n0,b,1.5\n"), ("NOT_JSON", b'{"n": 6,}'),
+                       ("INF_WEIGHT", b"a,1.0\nb,inf\n"), ("NAN_WEIGHT", b"a,1.0\nb,nan\n"),
+                       ("NAN_LEMMA", b"0,1,nan\n")]:
         files[name] = tmp_path / name
         files[name].write_bytes(data)
     src = str(Path(hfactor.__file__).resolve().parents[1])

@@ -137,6 +137,14 @@ def test_window_empty_rejected():
         entropy_window(WeightedFamily(ids=("a",), weights=(0.0,)))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_weights_rejected(bad):
+    with pytest.raises(InputError, match="finite"):
+        WeightedFamily(ids=("a", "b"), weights=(1.0, bad))
+    with pytest.raises(InputError, match="finite"):
+        weight_lemma_check(6, 2, {(0, 1): bad}, 1.0)
+
+
 @given(
     st.lists(
         st.floats(min_value=1e-3, max_value=1e3),

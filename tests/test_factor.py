@@ -226,6 +226,27 @@ def test_counter_memo_reuse():
     assert counter.count_excluding((0, 1)) == complete_graph_count(K2, 6).labeled
 
 
+def test_block_weights_are_complement_counts():
+    for p, n, prob in [(K2, 8, 0.6), (K3, 9, 0.8), (P3, 9, 0.6)]:
+        g = sample_gnp(p.k, n, prob, derive_seed(77, p.v, p.m))
+        counter = FactorCounter(p, g)
+        blocks = counter.block_items()
+        assert blocks
+        assert counter.block_weights() == [
+            counter.count_excluding(x for x in range(n) if bmask >> x & 1) for bmask, _ in blocks
+        ]
+
+
+def test_exists_memoizes_failure_as_zero_count():
+    # a star at 1 plus the edge 45: the leaves 0, 2 and 3 cannot all be matched
+    g = host_from_edges(2, 6, [(0, 1), (1, 2), (1, 3), (4, 5)])
+    counter = FactorCounter(K2, g)
+    assert not counter.exists()
+    assert counter.exists(0b110011)
+    assert counter.count() == 0 and counter.count(0b110011) == 4  # labeled: 2 * 2
+    assert not counter.without_edge((1, 2)).exists()
+
+
 # The per-block edge-use table against brute force: uniform patterns (K2, K3,
 # one 3-edge) take their entries from the block multiplicity, the others from
 # the embedding walk; the path's blocks lose copies without dying.
@@ -275,7 +296,7 @@ def test_without_edge_matches_fresh_counter(p, n):
             fresh = FactorCounter(p, g)
             assert sorted(carried.block_items()) == sorted(fresh.block_items())
             masks = [fresh.full_mask] + [fresh.full_mask & ~b for b, _ in fresh.block_items()]
-            # existence first, so the dead sets fill before the counts do
+            # existence first, so failed masks are memoized before the counts
             for counter in (carried, fresh):
                 counter.exists(masks[0])
             assert [carried.exists(m) for m in masks] == [fresh.exists(m) for m in masks]

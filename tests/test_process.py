@@ -156,6 +156,12 @@ def test_process_validation():
         run_process(K2, 30, seed=0)
     with pytest.raises(InputError, match="t_max must be nonnegative"):
         run_process(K2, 4, seed=0, t_max=-3)
+    for bad in (math.nan, -1.0):
+        with pytest.raises(InputError, match="reg_eps"):
+            run_process(K2, 4, seed=0, reg_eps=bad)
+    for bad in (math.nan, 0.0, -2.0):
+        with pytest.raises(InputError, match="b_level"):
+            run_process(K2, 4, seed=0, b_level=bad)
 
 
 # Per step (xi, max_copies_per_edge, min_copy_degree, prev_maxr, guard_ok),
@@ -250,3 +256,28 @@ def test_run_process_golden_t_max():
     assert [s.xi for s in trace.steps] == [
         Fraction(x) for x in ("1/7", "2/15", "5/39", "3/17", "1/7", "7/48")
     ]
+
+
+# guard_trip_step of the golden traces, recorded from the loop that evaluated
+# the guard at two sites (before the loop and after each deletion).
+_GOLDEN_TRIPS = [(K2, 8, 5, 11), (K3, 9, 2, 8), (P3, 9, 4, 9)]
+
+
+@pytest.mark.parametrize("pat, n, seed, trip", _GOLDEN_TRIPS, ids=["K2-8", "K3-9", "P3-9"])
+def test_guard_trip_step_pinned(pat, n, seed, trip):
+    assert run_process(pat, n, seed=seed).guard_trip_step == trip
+    # b_level below every flatness ratio: trips at state 0, every z is 0
+    low = run_process(pat, n, seed=seed, b_level=0.5)
+    assert low.guard_trip_step == 0
+    assert all(s.z == 0 and not s.guard_ok for s in low.steps)
+    # stopping right at the trip state still evaluates that state's guard
+    at_trip = run_process(pat, n, seed=seed, t_max=trip)
+    assert (at_trip.guard_trip_step, at_trip.stop_step, at_trip.stop_reason) == (trip, trip, "t_max")
+    assert all(s.guard_ok for s in at_trip.steps)
+    before = run_process(pat, n, seed=seed, t_max=trip - 1)
+    assert (before.guard_trip_step, before.stop_step) == (None, trip - 1)
+    none = run_process(pat, n, seed=seed, t_max=0)
+    assert (none.guard_trip_step, none.stop_step, none.stop_reason, none.steps) == (
+        None, 0, "t_max", []
+    )
+    assert run_process(pat, n, seed=seed, t_max=0, b_level=0.5).guard_trip_step == 0

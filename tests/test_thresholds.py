@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hfactor import thresholds
 from hfactor.errors import InputError
 from hfactor.factor import has_factor
 from hfactor.host import complete_host, host_from_edges, sample_gnp
@@ -109,6 +110,14 @@ def test_scan_validation():
         threshold_scan(K2, [12], trials=0, seed=0)
     with pytest.raises(InputError):
         threshold_scan(K2, [30], trials=10, seed=0)
+
+
+def test_scan_checks_every_n_before_sampling(monkeypatch):
+    calls = []
+    monkeypatch.setattr(thresholds, "sample_gnp", lambda *args: calls.append(args))
+    with pytest.raises(InputError, match="n=7"):
+        threshold_scan(K2, [12, 7], trials=10, seed=0)
+    assert calls == []
 
 
 def test_wilson_interval():
