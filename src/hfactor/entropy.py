@@ -187,6 +187,8 @@ def weight_lemma_check(n: int, v: int, weights: dict, bound: float) -> dict:
     """
     if not n > v >= 2:
         raise InputError(f"need n > v >= 2, got n={n}, v={v}")
+    if not 0 < bound < math.inf:
+        raise InputError(f"bound must be finite and positive, got {bound}")
     table: dict[frozenset, float] = {}
     for key, w in weights.items():
         fkey = frozenset(key)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,11 +64,11 @@ class FactorCounter:
 
     Blocks (v-subsets that host at least one copy) are precomputed with their
     embedding multiplicities; count(mask) then counts partitions of the
-    vertices selected by mask into blocks, weighted by multiplicity.  The
-    per-edge copy counts of each block are tabled on first use.
+    vertices selected by mask into blocks, weighted by multiplicity.  Per-edge
+    copy counts and copy degrees come on first use; without_edge carries them.
     """
 
-    def __init__(self, pattern: PatternGraph, g: HostGraph):
+    def __init__(self, pattern: PatternGraph, g: HostGraph, *, _carried=None):
         if pattern.k != g.k:
             raise InputError(
                 f"pattern arity {pattern.k} does not match host arity {g.k}"
@@ -78,48 +77,95 @@ class FactorCounter:
         self.pattern = pattern
         self.host = g
         self.full_mask = (1 << g.n) - 1
+        if _carried is not None:
+            self._blocks_by_min, self._copies, self._index, self._degrees, self._memo = _carried
+            # host_blocks order is lexicographic, so by lowest vertex first
+            self._blocks = [item for items in self._blocks_by_min for item in items]
+            return
         # exact counts, and 0 for every mask exists() found no factor on
         self._memo: dict[int, int] = {0: 1}
-        self._edge_uses: dict[frozenset[int], list[tuple[int, int]]] | None = None
-        self._blocks_by_min: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        self._blocks: list[tuple[int, int]] = []
-        self._precompute_blocks()
+        self._copies = self._index = self._degrees = None
+        blocks, by_min = [], [[] for _ in range(g.n)]
+        for block, emb in host_blocks(pattern, g):
+            m = 0
+            for x in block:
+                m |= 1 << x
+            item = (m, emb)
+            by_min[block[0]].append(item)
+            blocks.append(item)
+        self._blocks, self._blocks_by_min = blocks, by_min
 
-    def _precompute_blocks(self) -> None:
-        for block, emb in host_blocks(self.pattern, self.host):
-            item = (_vertex_mask(block), emb)
-            self._blocks_by_min[block[0]].append(item)
-            self._blocks.append(item)
+    def _edge_index(self) -> dict[tuple[int, ...], dict[int, int]]:
+        """Host edge -> {block mask: its labeled copies using the edge}, built on first use.
 
-    def _edge_use_table(self) -> dict[frozenset[int], list[tuple[int, int]]]:
-        """Host edge -> [(block mask, labeled copies in the block using the edge)]."""
-        if self._edge_uses is None:
+        Each block's copies are grouped by the host edges they use (mask -> {edges: copies});
+        the groups are kept for patterns other than a single edge or a complete graph.
+        """
+        if self._index is None:
             p = self.pattern
-            table: dict[frozenset[int], list[tuple[int, int]]] = {}
             if p.is_single_edge() or p.is_complete_graph():
-                # every embedding uses every k-subset of its block
-                for bmask, emb in self._blocks:
-                    for e in itertools.combinations(mask_bits(bmask), p.k):
-                        table.setdefault(frozenset(e), []).append((bmask, emb))
+                blocks = ((m, self._uniform_group(m, emb)) for m, emb in self._blocks)
             else:
-                uses = Counter(
-                    (frozenset(c[x] for x in pe), _vertex_mask(c))
-                    for c in enumerate_copies(p, self.host) for pe in p.edges
-                )
-                for (e, bmask), using in uses.items():
-                    table.setdefault(e, []).append((bmask, using))
-            self._edge_uses = table
-        return self._edge_uses
+                self._copies = {}
+                for c in enumerate_copies(p, self.host):
+                    edges = frozenset(tuple(sorted(c[x] for x in pe)) for pe in p.edges)
+                    groups = self._copies.setdefault(sum(1 << x for x in c), {})
+                    groups[edges] = groups.get(edges, 0) + 1
+                blocks = self._copies.items()
+            self._index = {}
+            for bmask, groups in blocks:
+                for edges, c in groups.items():
+                    for f in edges:
+                        uses = self._index.setdefault(f, {})
+                        uses[bmask] = uses.get(bmask, 0) + c
+        return self._index
+
+    def _uniform_group(self, bmask: int, emb: int) -> dict[frozenset[tuple[int, ...]], int]:
+        # every embedding of a single edge or a complete graph uses every k-subset of its block
+        return {frozenset(itertools.combinations(mask_bits(bmask), self.pattern.k)): emb}
+
+    def _vertex_degrees(self) -> list[int]:
+        if self._degrees is None:
+            self._degrees = block_degrees(self.host.n, ((mask_bits(m), emb) for m, emb in self._blocks))
+        return self._degrees
 
     def without_edge(self, e) -> FactorCounter:
-        """Counter on the host minus edge e, keeping what e cannot change.
+        """Counter on the host minus edge e, carried over from this one, which is left unchanged.
 
+        Only the copies using e are lost: their blocks lose them (a block left
+        with none goes), and so do the per-edge index and the copy degrees.
         A count on a mask missing a vertex of e involves no block through e.
         """
-        emask = sum(1 << x for x in e)
-        child = FactorCounter(self.pattern, self.host.without_edge(e))
-        child._memo = {m: c for m, c in self._memo.items() if m & emask != emask}
-        return child
+        key = tuple(sorted(e))
+        parent = self._edge_index()
+        index, degrees = dict(parent), list(self._vertex_degrees())
+        copies = None if self._copies is None else dict(self._copies)
+        lost = parent.get(key, {})  # block mask -> its copies using e
+        for bmask, gone in lost.items():
+            for x in mask_bits(bmask):
+                degrees[x] -= gone
+            groups = self._uniform_group(bmask, gone) if copies is None else copies.pop(bmask)
+            for edges, c in groups.items():
+                if key in edges:
+                    for f in edges:
+                        uses = index[f]
+                        if uses is parent[f]:
+                            uses = index[f] = dict(uses)
+                        uses[bmask] -= c
+                        if not uses[bmask]:
+                            del uses[bmask]
+                            if not uses:  # no copy left uses f
+                                del index[f]
+            if kept := {edges: c for edges, c in groups.items() if key not in edges}:
+                copies[bmask] = kept
+        by_min = list(self._blocks_by_min)
+        for lo in {(bmask & -bmask).bit_length() - 1 for bmask in lost}:
+            by_min[lo] = [(m, emb - lost[m]) if m in lost else (m, emb)
+                          for m, emb in by_min[lo] if emb != lost.get(m)]
+        emask = sum(1 << x for x in key)
+        memo = {m: c for m, c in self._memo.items() if m & emask != emask}
+        carried = (by_min, copies, index, degrees, memo)
+        return FactorCounter(self.pattern, self.host.without_edge(key), _carried=carried)
 
     def block_items(self):
         """(mask, embedding count) of every block hosting a copy, in host_blocks order."""
@@ -155,8 +201,8 @@ class FactorCounter:
         if not self.host.has_edge(key):
             raise InputError(f"edge {key} not present")
         full = self.full_mask
-        uses = self._edge_use_table().get(frozenset(key), ())
-        return sum(using * self.count(full & ~bmask) for bmask, using in uses)
+        uses = self._edge_index().get(key, {})
+        return sum(using * self.count(full & ~bmask) for bmask, using in uses.items())
 
     def exists(self, mask: int | None = None) -> bool:
         """Factor existence with early exit; a failed mask is memoized as count 0."""
@@ -174,12 +220,11 @@ class FactorCounter:
 
     def copy_vertex_degrees(self) -> list[int]:
         """Labeled copies through each vertex, summed from block multiplicities."""
-        return block_degrees(self.host.n, ((mask_bits(m), emb) for m, emb in self._blocks))
+        return list(self._vertex_degrees())
 
     def copies_per_edge_max(self) -> int:
         """max over host edges of the number of labeled copies using that edge."""
-        table = self._edge_use_table()
-        return max((sum(using for _, using in uses) for uses in table.values()), default=0)
+        return max((sum(uses.values()) for uses in self._edge_index().values()), default=0)
 
 
 def _fill(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]]) -> int:
@@ -198,13 +243,6 @@ def _fill(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]]) -> 
             total += emb * sub
     memo[m] = total
     return total
-
-
-def _vertex_mask(vertices) -> int:
-    mask = 0
-    for x in vertices:
-        mask |= 1 << x
-    return mask
 
 
 def count_factors(pattern: PatternGraph, g: HostGraph) -> FactorCount:

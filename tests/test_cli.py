@@ -448,6 +448,12 @@ MALFORMED = {
     "window-inf": ["window", "--weights", "INF_WEIGHT"],
     "window-nan": ["window", "--weights", "NAN_WEIGHT"],
     "weight-lemma-nan": ["weight-lemma", "--weights", "NAN_LEMMA", "--n", "6", "--v", "2"],
+    "weight-lemma-bound-nan": ["weight-lemma", "--weights", "LEMMA", "--n", "6", "--v", "2",
+                               "--B", "nan"],
+    "weight-lemma-bound-negative": ["weight-lemma", "--weights", "LEMMA", "--n", "6", "--v", "2",
+                                    "--B", "-1"],
+    "weight-lemma-bound-inf": ["weight-lemma", "--weights", "LEMMA", "--n", "6", "--v", "2",
+                               "--B", "inf"],
     "regularity-eps-nan": ["regularity", "--pattern", "K3", "--n", "6", "--p", "0.5", "--eps", "nan"],
     "poly-check-eps-nan": ["poly", "--pattern", "K3", "--n", "6", "--p", "0.5", "--mode", "check",
                            "--eps", "nan"],
@@ -463,7 +469,7 @@ def test_malformed_input_is_an_error_line(case, k3_file, tmp_path):
     for name, data in [("LATIN1", b"graph 3\n0 1 # caf\xe9\n"), ("BAD_WEIGHT", b"a,1.0\nb,x\n"),
                        ("BAD_ID", b"0,1,1.5\n0,b,1.5\n"), ("NOT_JSON", b'{"n": 6,}'),
                        ("INF_WEIGHT", b"a,1.0\nb,inf\n"), ("NAN_WEIGHT", b"a,1.0\nb,nan\n"),
-                       ("NAN_LEMMA", b"0,1,nan\n")]:
+                       ("NAN_LEMMA", b"0,1,nan\n"), ("LEMMA", b"0,1,1.0\n0,2,2.0\n")]:
         files[name] = tmp_path / name
         files[name].write_bytes(data)
     src = str(Path(hfactor.__file__).resolve().parents[1])

@@ -162,6 +162,12 @@ def test_window_guarantees(weights):
     assert rep["b"] / rep["a"] == pytest.approx(rep["c"] ** 2, rel=1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0, math.inf])
+def test_weight_lemma_bound_must_be_finite_and_positive(bad):
+    with pytest.raises(InputError, match="bound"):
+        weight_lemma_check(6, 2, {(0, 1): 1.0, (0, 2): 2.0}, bad)
+
+
 def test_weight_lemma_constant():
     weights = {z: 3.0 for z in itertools.combinations(range(9), 3)}
     rep = weight_lemma_check(9, 3, weights, 1.0)

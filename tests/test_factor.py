@@ -23,6 +23,7 @@ from hfactor.factor import (
 from hfactor.host import complete_host, host_from_edges, random_ordering, sample_gnp
 from hfactor.pattern import (
     complete_pattern,
+    cycle_pattern,
     path_pattern,
     pattern_from_edges,
     single_edge_pattern,
@@ -247,9 +248,9 @@ def test_exists_memoizes_failure_as_zero_count():
     assert not counter.without_edge((1, 2)).exists()
 
 
-# The per-block edge-use table against brute force: uniform patterns (K2, K3,
-# one 3-edge) take their entries from the block multiplicity, the others from
-# the embedding walk; the path's blocks lose copies without dying.
+# The per-edge index against brute force: uniform patterns (K2, K3, one
+# 3-edge) take their entries from the block multiplicity, the others from the
+# embedding walk; the path's blocks lose copies without dying.
 P3 = path_pattern(3)
 PENDANT_HUB = pattern_from_edges(2, 4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 TWO_TRIPLES = pattern_from_edges(3, 4, [(0, 1, 2), (1, 2, 3)])
@@ -281,10 +282,21 @@ def test_edge_use_table_matches_oracles(p, n, prob):
 
 
 # A counter carried through deletions with without_edge against one built
-# from scratch on the same host, at every step of seeded orderings.
+# from scratch on the same host, at every step of seeded orderings: uniform
+# patterns (K2, K3, K4, one 3-edge) lose whole blocks, the others lose some
+# copies of a block, and the isolated-vertex pattern's copies extend over
+# every vertex outside their edge.
+C4 = cycle_pattern(4)
+K4 = complete_pattern(4)
+EDGE_AND_VERTEX = pattern_from_edges(2, 3, [(0, 1)])
+CARRIED_CASES = [
+    (K2, 8), (K3, 9), (K4, 8), (E3, 9), (P3, 9), (C4, 8), (TWO_TRIPLES, 8), (EDGE_AND_VERTEX, 9),
+]
+
+
 @pytest.mark.parametrize(
-    "p, n", [(K2, 8), (K3, 9), (P3, 9), (TWO_TRIPLES, 8)],
-    ids=["K2-8", "K3-9", "P3-9", "two-triples-8"],
+    "p, n", CARRIED_CASES,
+    ids=["K2-8", "K3-9", "K4-8", "E3-9", "P3-9", "C4-8", "two-triples-8", "edge-and-vertex-9"],
 )
 def test_without_edge_matches_fresh_counter(p, n):
     for seed in (3, 4):
@@ -294,18 +306,52 @@ def test_without_edge_matches_fresh_counter(p, n):
             g = g.without_edge(e)
             carried = carried.without_edge(e)
             fresh = FactorCounter(p, g)
-            assert sorted(carried.block_items()) == sorted(fresh.block_items())
+            assert carried.block_items() == fresh.block_items()
             masks = [fresh.full_mask] + [fresh.full_mask & ~b for b, _ in fresh.block_items()]
             # existence first, so failed masks are memoized before the counts
             for counter in (carried, fresh):
                 counter.exists(masks[0])
             assert [carried.exists(m) for m in masks] == [fresh.exists(m) for m in masks]
             assert [carried.count(m) for m in masks] == [fresh.count(m) for m in masks]
+            assert carried.block_weights() == fresh.block_weights()
             assert carried.copies_per_edge_max() == fresh.copies_per_edge_max()
             assert carried.copy_vertex_degrees() == fresh.copy_vertex_degrees()
             assert [carried.count_using_edge(x) for x in g.edges] == [
                 fresh.count_using_edge(x) for x in g.edges
             ]
+
+
+def _carried_state(counter):
+    """Deep copies of what without_edge reads from a counter."""
+    index = counter._edge_index()  # also groups the copies of a non-uniform pattern
+    return (
+        list(counter.block_items()),
+        [list(items) for items in counter._blocks_by_min],
+        None if counter._copies is None else {m: dict(groups) for m, groups in counter._copies.items()},
+        {e: dict(uses) for e, uses in index.items()},
+        counter.copy_vertex_degrees(),
+        dict(counter._memo),
+    )
+
+
+@pytest.mark.parametrize(
+    "p, n", [(K3, 9), (C4, 8), (TWO_TRIPLES, 8)], ids=["K3-9", "C4-8", "two-triples-8"]
+)
+def test_without_edge_leaves_parent_unchanged(p, n):
+    g = complete_host(p.k, n)
+    for e in random_ordering(p.k, n, 5).sequence[: len(g.edges) // 3]:
+        g = g.without_edge(e)
+    counter = FactorCounter(p, g)
+    counter.count()
+    counter.block_weights()
+    before = _carried_state(counter)
+    children = [counter.without_edge(e) for e in g.edges]
+    assert _carried_state(counter) == before
+    # every child carries its own copies of the state it was handed
+    for child in children:
+        child.count()
+        child.copy_vertex_degrees()
+    assert _carried_state(counter) == before
 
 
 def _induced(g, mask):

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -6,7 +9,13 @@ import pytest
 from hfactor.errors import InputError
 from hfactor.factor import FactorCounter
 from hfactor.host import complete_host, sample_gnp, total_edges
-from hfactor.pattern import complete_pattern, path_pattern, single_edge_pattern
+from hfactor.pattern import (
+    complete_pattern,
+    cycle_pattern,
+    path_pattern,
+    pattern_from_edges,
+    single_edge_pattern,
+)
 from hfactor.process import gamma, run_process, tail_experiment, verify_martingale_step
 from hfactor.rng import derive_seed
 
@@ -256,6 +265,29 @@ def test_run_process_golden_t_max():
     assert [s.xi for s in trace.steps] == [
         Fraction(x) for x in ("1/7", "2/15", "5/39", "3/17", "1/7", "7/48")
     ]
+
+
+# SHA-256 of every field of whole traces, recorded from the counter that was
+# rebuilt from scratch on every step: C4 loses some copies of a block per
+# deletion, the two-triple 3-uniform pattern does so on a hypergraph.
+C4 = cycle_pattern(4)
+TWO_TRIPLES = pattern_from_edges(3, 4, [(0, 1, 2), (1, 2, 3)])
+_GOLDEN_DIGESTS = [
+    (C4, 1, "5375e0aae198c571ff9c1d3c2faec0dc28b8be8c38bf6d62d5dccea6f8f08417"),
+    (C4, 2, "d3c00b0396c8137718480e61b4f2e386e03693b21859c8993604a2b8deb853f9"),
+    (TWO_TRIPLES, 1, "253589f9ca0b4bf4cd9f6b875faa9fedb7dfe5ad85efcd2f6b3473eccb94e3ad"),
+    (TWO_TRIPLES, 2, "8b401e0b307f17f6ba5e8154271ee3a15ebceac38f5ccb41c8294d0cedd9efad"),
+]
+
+
+@pytest.mark.parametrize(
+    "pat, seed, digest", _GOLDEN_DIGESTS,
+    ids=["C4-8-s1", "C4-8-s2", "two-triples-8-s1", "two-triples-8-s2"],
+)
+def test_run_process_golden_digest(pat, seed, digest):
+    trace = run_process(pat, 8, seed=seed)
+    text = json.dumps(asdict(trace), sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # guard_trip_step of the golden traces, recorded from the loop that evaluated
