@@ -72,7 +72,6 @@ from .process import (
     ProcessTrace,
     gamma,
     run_process,
-    tail_experiment,
     verify_martingale_step,
 )
 from .thresholds import (

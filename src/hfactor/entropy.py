@@ -70,27 +70,22 @@ def _entropy_from_weights(weights, total) -> float:
 
 
 def copy_distribution(pattern: PatternGraph, g: HostGraph, y: int) -> CopyDistribution:
-    """Exact copy-at-y distribution; copies that extend to no factor are dropped."""
+    """The law of the copy covering y in a uniform random factor, exactly.
+
+    Its entropy h(y) is the term of vertex y in the Shearer bound.  A copy's
+    weight is its block's weight; copies that extend to no factor are dropped.
+    """
     if not 0 <= y < g.n:
         raise InputError(f"vertex {y} out of range")
     counter = FactorCounter(pattern, g)
-    total = counter.count()
-    if total == 0:
+    if counter.count() == 0:
         raise NoFactorError("host has no factor")
-    kept, weights, zeros = [], [], 0
-    for c in enumerate_copies(pattern, g):
-        if y not in c:
-            continue
-        w = counter.count_excluding(c)
-        if w > 0:
-            kept.append(c)
-            weights.append(w)
-        else:
-            zeros += 1
-    h = _entropy_from_weights(weights, sum(weights))
+    through_y = [c for c in enumerate_copies(pattern, g) if y in c]
+    kept = [(c, w) for c, w in zip(through_y, counter.copy_weights(through_y)) if w > 0]
+    weights = tuple(w for _, w in kept)
     return CopyDistribution(
-        vertex=y, copies=tuple(kept), weights=tuple(weights), h=h,
-        zero_weight_copies=zeros,
+        vertex=y, copies=tuple(c for c, _ in kept), weights=weights,
+        h=_entropy_from_weights(weights, sum(weights)), zero_weight_copies=len(through_y) - len(kept),
     )
 
 

@@ -176,6 +176,11 @@ class FactorCounter:
         full = self.full_mask
         return [self.count(full & ~bmask) for bmask, _ in self._blocks]
 
+    def copy_weights(self, copies) -> list[int]:
+        """w(K) = factors of the host minus V(K) per copy K: the weight of the block on V(K)."""
+        by_block = {bmask: w for (bmask, _), w in zip(self._blocks, self.block_weights())}
+        return [by_block[sum(1 << x for x in c)] for c in copies]
+
     def count(self, mask: int | None = None) -> int:
         """Number of factors of the host induced on the masked vertex set."""
         if mask is None:
@@ -245,6 +250,16 @@ def _fill(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]]) -> 
     return total
 
 
+def flatness(counter: FactorCounter) -> Fraction:
+    """maxr = max w(K) / mean w(K) over the labeled copies K of a host with a factor.
+
+    Every factor has n/v copies, so the weights of all copies sum to (n/v) * count.
+    """
+    copies = sum(emb for _, emb in counter.block_items())
+    factors = counter.host.n // counter.pattern.v * counter.count()
+    return Fraction(max(counter.block_weights()) * copies, factors)
+
+
 def count_factors(pattern: PatternGraph, g: HostGraph) -> FactorCount:
     """Exact labeled and unlabeled factor counts."""
     check_divisible(pattern, g.n)
@@ -275,22 +290,31 @@ def has_factor(pattern: PatternGraph, g: HostGraph) -> bool:
     return counter.exists()
 
 
+def _complete_labeled(pattern: PatternGraph, n: int) -> int:
+    if n < 0:
+        raise InputError(f"n must be nonnegative, got {n}")
+    check_divisible(pattern, n)
+    return math.factorial(n) // math.factorial(n // pattern.v)
+
+
 def complete_graph_count(pattern: PatternGraph, n: int) -> FactorCount:
     """Closed form on the complete host: labeled count n!/(n/v)!."""
-    check_divisible(pattern, n)
-    labeled = math.factorial(n) // math.factorial(n // pattern.v)
-    return _with_unlabeled(pattern, n, labeled)
+    return _with_unlabeled(pattern, n, _complete_labeled(pattern, n))
 
 
 def expected_factor_count(pattern: PatternGraph, n: int, p: float) -> float:
-    """Expectation of the labeled count under the independent-edge model.
+    """The first moment E Phi of the labeled factor count in the independent-edge model.
 
     Every factor uses exactly m*n/v distinct edges (its copies are
-    vertex-disjoint), so the expectation is n!/(n/v)! times p to that power.
+    vertex-disjoint), so E Phi is n!/(n/v)! times p to that power, computed
+    exactly and rounded once; a value past the float range is inf.
     """
-    check_divisible(pattern, n)
-    exponent = pattern.m * n // pattern.v
-    return float(math.factorial(n) // math.factorial(n // pattern.v)) * p**exponent
+    if not 0.0 <= p <= 1.0:
+        raise InputError(f"p must lie in [0, 1], got {p}")
+    try:
+        return float(_complete_labeled(pattern, n) * Fraction(p) ** (pattern.m * n // pattern.v))
+    except OverflowError:
+        return math.inf
 
 
 def edge_fraction(pattern: PatternGraph, g: HostGraph, e, counter: FactorCounter | None = None) -> Fraction:
@@ -309,7 +333,7 @@ def edge_fraction(pattern: PatternGraph, g: HostGraph, e, counter: FactorCounter
 
 
 def weight_w(pattern: PatternGraph, g: HostGraph, zapped, counter: FactorCounter | None = None) -> int:
-    """Factors avoiding a vertex set.
+    """The weight w(Z) of a vertex set Z with |Z| <= v: factors avoiding it.
 
     For |Z| = v this is the factor count of the host minus Z; for smaller Z
     it sums that count over all v-supersets of Z inside the vertex set.
@@ -335,28 +359,20 @@ def weight_w(pattern: PatternGraph, g: HostGraph, zapped, counter: FactorCounter
 
 
 def b_statistic(pattern: PatternGraph, g: HostGraph) -> WeightStats:
-    """Per-copy weights w(K) = #factors of G minus V(K), with their spread."""
+    """Per-copy weights w(K) = #factors of G minus V(K), with their spread maxr."""
     counter = FactorCounter(pattern, g)
-    total = counter.count()
-    if total == 0:
+    if counter.count() == 0:
         raise NoFactorError("host has no factor")
     copies = enumerate_copies(pattern, g)
     if not copies:
         raise NoFactorError("host has no copies")
-    weights = [counter.count_excluding(c) for c in copies]
-    mean = Fraction(sum(weights), len(weights))
-    mx = max(weights)
-    return WeightStats(
-        copies=tuple(copies),
-        weights=tuple(weights),
-        mean=mean,
-        max=mx,
-        maxr=Fraction(mx) / mean,
-    )
+    weights = tuple(counter.copy_weights(copies))
+    return WeightStats(copies=tuple(copies), weights=weights, mean=Fraction(sum(weights), len(weights)),
+                       max=max(weights), maxr=flatness(counter))
 
 
 def c_statistic(pattern: PatternGraph, g: HostGraph) -> dict:
-    """Spread check of completion weights over every (v-1)-subset.
+    """The spread condition on (v-1)-sets: no completion weight dominates.
 
     For each (v-1)-set Y the completions are w(Y + {x}); the inequality
     requires the max to be at most max(n^(-2(v-1)) * count, twice the median).

@@ -231,6 +231,9 @@ def compare_models(
     estimate is repeated at half and double M.
     """
     check_divisible(pattern, n)
+    check_sampling_size(n, pattern.k)
+    if not 0.0 <= p <= 1.0:
+        raise InputError(f"p must lie in [0, 1], got {p}")
     if trials < 1:
         raise InputError("need at least one trial")
     total = total_edges(pattern.k, n)

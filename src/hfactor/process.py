@@ -16,11 +16,9 @@ from fractions import Fraction
 
 from .embed import expected_copy_degree
 from .errors import InputError, InvariantError, NoFactorError
-from .factor import FactorCounter, check_cap
+from .factor import FactorCounter, check_cap, flatness
 from .host import HostGraph, complete_host, random_ordering, total_edges
-from .parallel import run_trials
 from .pattern import PatternGraph, check_divisible
-from .rng import derive_seed
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,6 @@ class ProcessTrace:
     stop_reason: str = ""
     guard_trip_step: int | None = None
 
-    def max_abs_partial(self) -> float:
-        return max((abs(float(s.x_partial)) for s in self.steps), default=0.0)
-
 
 def gamma(pattern: PatternGraph, n: int, i: int) -> Fraction:
     """Exact conditional mean of xi_i: (m*n/v) / (#edges - i + 1)."""
@@ -69,8 +64,7 @@ def gamma(pattern: PatternGraph, n: int, i: int) -> Fraction:
 
 
 def _guard_state(
-    pattern: PatternGraph, counter: FactorCounter, degs: list[int], p_now: float,
-    b_level: float, reg_eps: float,
+    counter: FactorCounter, degs: list[int], p_now: float, b_level: float, reg_eps: float,
 ) -> tuple[bool, Fraction]:
     """Finite-threshold stand-ins for the flatness and regularity events.
 
@@ -78,18 +72,14 @@ def _guard_state(
     factors.  Regularity: every per-vertex copy count is within reg_eps
     relative deviation of its independent-edge expectation at the current
     effective density.  Both are evaluated exactly from the shared counter,
-    whose host has a factor (so its block weights sum to (n/v) * count > 0),
-    and its copy degrees degs.  Returns (both hold, the flatness ratio maxr).
+    whose host has a factor, and its copy degrees degs.  Returns (both hold,
+    the flatness ratio maxr).
     """
-    # flatness of per-copy weights
-    blocks, weights = counter.block_items(), counter.block_weights()
-    weight_sum = sum(emb * w for (_, emb), w in zip(blocks, weights))
-    copy_total = sum(emb for _, emb in blocks)
-    maxr = Fraction(max(weights) * copy_total, weight_sum)
+    maxr = flatness(counter)
     if maxr > b_level:
         return False, maxr
     # degree regularity against the expected copy degree
-    expected = expected_copy_degree(pattern, counter.host.n, p_now)
+    expected = expected_copy_degree(counter.pattern, counter.host.n, p_now)
     if expected <= 0:
         return False, maxr
     worst = max(abs(d - expected) for d in degs)
@@ -135,9 +125,7 @@ def run_process(
     for i, edge in enumerate(ordering.sequence, start=1):
         # state i - 1: the host before the i-th deletion, with phi_prev > 0
         degs = counter.copy_vertex_degrees()
-        state_ok, prev_maxr = _guard_state(
-            pattern, counter, degs, 1.0 - (i - 1) / total, b_level, reg_eps
-        )
+        state_ok, prev_maxr = _guard_state(counter, degs, 1.0 - (i - 1) / total, b_level, reg_eps)
         if guard_ok and not state_ok:
             trace.guard_trip_step, guard_ok = i - 1, False
         if t_max is not None and i > t_max:
@@ -189,41 +177,3 @@ def verify_martingale_step(pattern: PatternGraph, g: HostGraph) -> tuple[Fractio
         raise InputError("host has no edges")
     acc = Fraction(sum(counter.count_using_edge(e) for e in g.edges), total)
     return acc / len(g.edges), Fraction(pattern.m * g.n // pattern.v, len(g.edges))
-
-
-def _tail_worker(payload) -> tuple[float, int]:
-    pattern, n, seed, t_max, b_level, reg_eps = payload
-    trace = run_process(pattern, n, seed, t_max=t_max, b_level=b_level, reg_eps=reg_eps)
-    return trace.max_abs_partial(), trace.stop_step
-
-
-def tail_experiment(
-    pattern: PatternGraph,
-    n: int,
-    trials: int,
-    seed: int,
-    lam: float,
-    t_max: int | None = None,
-    b_level: float = 10.0,
-    reg_eps: float = 0.5,
-    workers: int = 1,
-) -> dict:
-    """Empirical tail of max_t |x_partial| over independent traces."""
-    if trials < 1:
-        raise InputError("need at least one trial")
-    payloads = [
-        (pattern, n, derive_seed(seed, t), t_max, b_level, reg_eps)
-        for t in range(trials)
-    ]
-    results = run_trials(_tail_worker, payloads, workers)
-    maxima = [mx for mx, _ in results]
-    stop_steps = [st for _, st in results]
-    maxima.sort()
-    return {
-        "n": n,
-        "trials": trials,
-        "lambda": lam,
-        "max_abs_x": maxima,
-        "exceed_fraction": sum(1 for mx in maxima if mx > lam) / trials,
-        "mean_stop_step": sum(stop_steps) / trials,
-    }

@@ -460,6 +460,9 @@ MALFORMED = {
     "trace-eps-nan": ["trace", "--pattern", "K3", "--n", "6", "--eps", "nan"],
     "trace-eps-negative": ["trace", "--pattern", "K3", "--n", "6", "--eps", "-1"],
     "trace-b-level-nan": ["trace", "--pattern", "K3", "--n", "6", "--b-level", "nan"],
+    "count-closed-form-n-negative": ["count", "--pattern", "K3", "--n", "-3"],
+    "models-n-negative": ["models", "--pattern", "K3", "--n", "-3", "--p", "0.5", "--trials", "2"],
+    "models-p-nan": ["models", "--pattern", "K3", "--n", "6", "--p", "nan", "--trials", "2"],
 }
 
 

@@ -20,7 +20,7 @@ from hfactor.entropy import (
 from hfactor.errors import InputError, NoFactorError
 from hfactor.factor import FactorCounter
 from hfactor.host import complete_host, host_from_edges, sample_gnp
-from hfactor.pattern import complete_pattern
+from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern, single_edge_pattern
 from hfactor.rng import derive_seed
 
 K2 = complete_pattern(2)
@@ -97,18 +97,24 @@ def test_shearer_examples():
 
 
 def test_shearer_random_battery():
+    # shearer's per-vertex entropies are those of copy_distribution, which
+    # test_copy_distribution_matches_factor_enumeration checks against an oracle
     checked = 0
-    for pat, n, p in [(K2, 8, 0.6), (K2, 10, 0.5), (K3, 6, 0.8), (K3, 9, 0.75)]:
+    for pat, n, p in [(K2, 8, 0.6), (K2, 10, 0.5), (K3, 6, 0.8), (K3, 9, 0.75),
+                      (path_pattern(3), 9, 0.6), (cycle_pattern(4), 8, 0.7),
+                      (single_edge_pattern(3), 9, 0.4)]:
         for seed in range(30):
             g = sample_gnp(pat.k, n, p, derive_seed(55, seed))
             if FactorCounter(pat, g).count() == 0:
                 continue
             rep = shearer_check(pat, g)
             assert rep["slack"] >= -1e-9
+            for y, h in enumerate(rep["per_vertex_entropy"]):
+                assert copy_distribution(pat, g, y).h == pytest.approx(h, rel=0, abs=1e-12)
             checked += 1
             if checked % 5 == 0:
                 break
-    assert checked >= 8
+    assert checked == 35  # five hosts with a factor per pattern
 
 
 def test_window_uniform():

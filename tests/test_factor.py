@@ -17,6 +17,7 @@ from hfactor.factor import (
     count_factors,
     edge_fraction,
     expected_factor_count,
+    flatness,
     has_factor,
     weight_w,
 )
@@ -33,6 +34,8 @@ from hfactor.rng import derive_seed
 K2 = complete_pattern(2)
 K3 = complete_pattern(3)
 E3 = single_edge_pattern(3)
+P3 = path_pattern(3)
+C4 = cycle_pattern(4)
 
 
 def test_exact_counts():
@@ -93,6 +96,14 @@ def test_expected_factor_count():
     assert expected_factor_count(K2, 8, 0.5) == pytest.approx(105.0)
     assert expected_factor_count(K3, 6, 1.0) == 360.0
     assert expected_factor_count(K3, 6, 0.0) == 0.0
+    # 400!/200! * 0.01^200 fits a float although 400!/200! does not
+    assert expected_factor_count(K2, 400, 0.01) == pytest.approx(8.1194299196669595e93, rel=1e-12)
+    assert expected_factor_count(K2, 400, 1.0) == math.inf
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(InputError, match="p must lie in"):
+            expected_factor_count(K2, 8, bad)
+    with pytest.raises(InputError, match="nonnegative"):
+        expected_factor_count(K3, -3, 0.5)
 
 
 def test_expectation_matches_monte_carlo():
@@ -183,16 +194,21 @@ def test_b_statistic_path():
     assert stats.mean == Fraction(4, 3)
 
 
-@given(graph_hosts(min_n=4, max_n=8))
-def test_weight_sum_identity(g):
-    if g.n % 2:
-        return
-    counter = FactorCounter(K2, g)
+@given(st.sampled_from([K2, K3, P3, C4, E3]), st.data())
+def test_weight_sum_identity(pat, data):
+    # every factor has n/v copies, so the copy weights sum to (n/v) * count,
+    # and flatness reads max / mean off the block weights alone
+    n = pat.v * data.draw(st.integers(min_value=1, max_value=9 // pat.v), label="n/v")
+    p = data.draw(st.floats(min_value=0.0, max_value=1.0), label="p")
+    g = sample_gnp(pat.k, n, p, data.draw(st.integers(min_value=0, max_value=2**32), label="seed"))
+    counter = FactorCounter(pat, g)
     total = counter.count()
     if total == 0:
         return
-    stats = b_statistic(K2, g)
-    assert sum(stats.weights) == (g.n // 2) * total
+    stats = b_statistic(pat, g)
+    assert stats.weights == tuple(counter.count_excluding(c) for c in stats.copies)
+    assert sum(stats.weights) == (n // pat.v) * total
+    assert stats.maxr == stats.max / stats.mean == flatness(counter)
     assert stats.maxr >= 1
 
 
@@ -251,7 +267,6 @@ def test_exists_memoizes_failure_as_zero_count():
 # The per-edge index against brute force: uniform patterns (K2, K3, one
 # 3-edge) take their entries from the block multiplicity, the others from the
 # embedding walk; the path's blocks lose copies without dying.
-P3 = path_pattern(3)
 PENDANT_HUB = pattern_from_edges(2, 4, [(0, 1), (1, 2), (0, 2), (0, 3)])
 TWO_TRIPLES = pattern_from_edges(3, 4, [(0, 1, 2), (1, 2, 3)])
 EDGE_USE_CASES = [
@@ -286,7 +301,6 @@ def test_edge_use_table_matches_oracles(p, n, prob):
 # patterns (K2, K3, K4, one 3-edge) lose whole blocks, the others lose some
 # copies of a block, and the isolated-vertex pattern's copies extend over
 # every vertex outside their edge.
-C4 = cycle_pattern(4)
 K4 = complete_pattern(4)
 EDGE_AND_VERTEX = pattern_from_edges(2, 3, [(0, 1)])
 CARRIED_CASES = [

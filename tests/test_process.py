@@ -16,7 +16,7 @@ from hfactor.pattern import (
     pattern_from_edges,
     single_edge_pattern,
 )
-from hfactor.process import gamma, run_process, tail_experiment, verify_martingale_step
+from hfactor.process import gamma, run_process, verify_martingale_step
 from hfactor.rng import derive_seed
 
 K2 = complete_pattern(2)
@@ -107,7 +107,7 @@ def test_step_copy_bound():
         for seed in range(6):
             trace = run_process(pat, n, seed=seed)
             for s in trace.steps:
-                if s.prev_maxr is not None and s.min_copy_degree > 0:
+                if s.min_copy_degree > 0:
                     bound = s.prev_maxr * Fraction(s.max_copies_per_edge, s.min_copy_degree)
                     assert s.xi <= bound
 
@@ -143,19 +143,6 @@ def test_martingale_step_random_battery():
             if cases % 3 == 0:
                 break
     assert cases >= 3
-
-
-def test_tail_experiment():
-    rep = tail_experiment(K2, 8, trials=200, seed=9, lam=8.0)
-    assert rep["exceed_fraction"] == 0.0
-    assert len(rep["max_abs_x"]) == 200
-    rep3 = tail_experiment(K3, 9, trials=40, seed=9, lam=9.0)
-    assert rep3["exceed_fraction"] == 0.0
-
-
-def test_tail_degenerate():
-    rep = tail_experiment(K2, 6, trials=5, seed=1, lam=6.0, t_max=0)
-    assert rep["max_abs_x"] == [0.0] * 5
 
 
 def test_process_validation():
@@ -253,7 +240,7 @@ def test_run_process_golden(pat, n, seed, stop_step, stop_reason, rows):
         for s in trace.steps
     ]
     want = [
-        (Fraction(xi), beta, deg, None if maxr is None else Fraction(maxr), ok)
+        (Fraction(xi), beta, deg, Fraction(maxr), ok)
         for xi, beta, deg, maxr, ok in rows
     ]
     assert got == want
