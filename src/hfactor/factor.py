@@ -134,7 +134,9 @@ class FactorCounter:
 
         Only the copies using e are lost: their blocks lose them (a block left
         with none goes), and so do the per-edge index and the copy degrees.
-        A count on a mask missing a vertex of e involves no block through e.
+        A count on a mask missing a vertex of e involves no block through e; one on a mask m
+        through e loses lost_B * count(m - B) per block B through e inside m (lost_B: its copies
+        using e), read from this memo; m is dropped if a term is missing, and so is the full count.
         """
         key = tuple(sorted(e))
         parent = self._edge_index()
@@ -163,7 +165,19 @@ class FactorCounter:
             by_min[lo] = [(m, emb - lost[m]) if m in lost else (m, emb)
                           for m, emb in by_min[lo] if emb != lost.get(m)]
         emask = sum(1 << x for x in key)
-        memo = {m: c for m, c in self._memo.items() if m & emask != emask}
+        memo, known, terms = {}, self._memo, tuple(lost.items())
+        for m, c in known.items():
+            if c and m & emask == emask:  # a count of 0 stays 0: no factor appears
+                for bmask, gone in terms:
+                    if bmask & m == bmask:
+                        if (sub := known.get(m ^ bmask)) is None:
+                            break
+                        c -= gone * sub
+                else:
+                    memo[m] = c
+            else:
+                memo[m] = c
+        memo.pop(self.full_mask, None)  # recounted from the carried blocks: run_process checks it
         carried = (by_min, copies, index, degrees, memo)
         return FactorCounter(self.pattern, self.host.without_edge(key), _carried=carried)
 
@@ -183,10 +197,14 @@ class FactorCounter:
 
     def count(self, mask: int | None = None) -> int:
         """Number of factors of the host induced on the masked vertex set."""
-        if mask is None:
-            mask = self.full_mask
+        mask = self.full_mask if mask is None else mask
         found = self._memo.get(mask)
-        return _fill(mask, self._memo, self._blocks_by_min) if found is None else found
+        return _fill(self._checked(mask), self._memo, self._blocks_by_min) if found is None else found
+
+    def _checked(self, mask: int) -> int:
+        if not 0 <= mask <= self.full_mask:
+            raise InputError(f"mask {mask} is outside 0..{self.full_mask}")
+        return mask
 
     def count_excluding(self, vertices) -> int:
         mask = self.full_mask
@@ -211,17 +229,9 @@ class FactorCounter:
 
     def exists(self, mask: int | None = None) -> bool:
         """Factor existence with early exit; a failed mask is memoized as count 0."""
-        if mask is None:
-            mask = self.full_mask
-        pos = self._memo.get(mask)
-        if pos is not None:
-            return pos > 0
-        lo = (mask & -mask).bit_length() - 1
-        for bmask, _ in self._blocks_by_min[lo]:
-            if bmask & mask == bmask and self.exists(mask & ~bmask):
-                return True
-        self._memo[mask] = 0
-        return False
+        mask = self.full_mask if mask is None else mask
+        found = self._memo.get(mask)
+        return _exists(self._checked(mask), self._memo, self._blocks_by_min) if found is None else found > 0
 
     def copy_vertex_degrees(self) -> list[int]:
         """Labeled copies through each vertex, summed from block multiplicities."""
@@ -248,6 +258,16 @@ def _fill(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]]) -> 
             total += emb * sub
     memo[m] = total
     return total
+
+
+def _exists(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]]) -> bool:
+    """Existence on a mask missing from the memo, with early exit; a failed mask is memoized as 0."""
+    for bmask, _ in blocks[(m & -m).bit_length() - 1]:
+        if bmask & m == bmask:
+            if _exists(m ^ bmask, memo, blocks) if (sub := memo.get(m ^ bmask)) is None else sub:
+                return True
+    memo[m] = 0
+    return False
 
 
 def flatness(counter: FactorCounter) -> Fraction:

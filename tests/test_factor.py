@@ -64,6 +64,16 @@ def test_count_validation():
         count_factors(K2, complete_host(3, 6))
 
 
+def test_count_rejects_mask_outside_host():
+    counter = FactorCounter(K2, complete_host(2, 6))
+    for mask in (1 << 6, -1, 0b1000000011):
+        with pytest.raises(InputError, match="outside"):
+            counter.count(mask)
+        with pytest.raises(InputError, match="outside"):
+            counter.exists(mask)
+    assert counter.count(0b111111) == counter.count() == 120  # 15 matchings, 2^3 labelings
+
+
 def test_single_vertex_block_case():
     # n equal to the pattern size: the whole host is the single block
     assert count_factors(K3, complete_host(2, 3)).labeled == 6
@@ -320,6 +330,8 @@ def test_without_edge_matches_fresh_counter(p, n):
             g = g.without_edge(e)
             carried = carried.without_edge(e)
             fresh = FactorCounter(p, g)
+            # every memo entry carried over, corrected through e or kept as it was, is exact
+            assert carried._memo == {m: fresh.count(m) for m in carried._memo}
             assert carried.block_items() == fresh.block_items()
             masks = [fresh.full_mask] + [fresh.full_mask & ~b for b, _ in fresh.block_items()]
             # existence first, so failed masks are memoized before the counts
@@ -333,6 +345,25 @@ def test_without_edge_matches_fresh_counter(p, n):
             assert [carried.count_using_edge(x) for x in g.edges] == [
                 fresh.count_using_edge(x) for x in g.edges
             ]
+
+
+def test_without_edge_recounts_full_count_from_corrected_memo():
+    # block_weights memoizes count(full - B) for every block B; those through e are corrected
+    # across the deletion, while the full count is dropped and recounted in one new DP state
+    g = complete_host(2, 9)
+    counter = FactorCounter(K3, g)
+    e = g.edges[-1]  # (7, 8): the blocks at vertex 0 that avoid it leave masks through it
+    total, using = counter.count(), counter.count_using_edge(e)
+    counter.block_weights()
+    child = counter.without_edge(e)
+    assert child.full_mask not in child._memo
+    emask = sum(1 << x for x in e)
+    subs = [child.full_mask & ~b for b, _ in child.block_items() if b & 1]
+    assert all(m in child._memo for m in subs)
+    assert any(m & emask == emask and child._memo[m] != counter._memo[m] for m in subs)
+    states = len(child._memo)
+    assert child.count() == total - using == FactorCounter(K3, g.without_edge(e)).count() > 0
+    assert len(child._memo) == states + 1
 
 
 def _carried_state(counter):

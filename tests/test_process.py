@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hfactor.errors import InputError
+from hfactor.errors import InputError, InvariantError
 from hfactor.factor import FactorCounter
 from hfactor.host import complete_host, sample_gnp, total_edges
 from hfactor.pattern import (
@@ -143,6 +143,34 @@ def test_martingale_step_random_battery():
             if cases % 3 == 0:
                 break
     assert cases >= 3
+
+
+def _memo_off_by_one(parent, child, e):
+    emask = sum(1 << x for x in e)
+    for m, c in child._memo.items():
+        if c and m & emask == emask:
+            child._memo[m] = c + 1
+
+
+def _blocks_not_carried(parent, child, e):
+    child._blocks_by_min, child._blocks = parent._blocks_by_min, parent._blocks
+
+
+@pytest.mark.parametrize("corrupt", [_memo_off_by_one, _blocks_not_carried])
+def test_run_process_catches_wrong_carry(monkeypatch, corrupt):
+    # each step recounts the full host from the carried blocks and the corrected memo, so a
+    # wrong correction of the counts through the deleted edge, or blocks that keep the copies
+    # using it, must fail the step identity
+    carry = FactorCounter.without_edge
+
+    def corrupted(self, e):
+        child = carry(self, e)
+        corrupt(self, child, e)
+        return child
+
+    monkeypatch.setattr(FactorCounter, "without_edge", corrupted)
+    with pytest.raises(InvariantError, match="factors left"):
+        run_process(K3, 9, seed=1)
 
 
 def test_process_validation():
