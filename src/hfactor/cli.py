@@ -66,7 +66,7 @@ def _emit(report, cfg: argparse.Namespace, csv_rows=None, csv_header=None) -> No
         writer.writerow(csv_header)
         writer.writerows(csv_rows)
         text = buf.getvalue()
-    if cfg.out:
+    if cfg.out is not None:
         Path(cfg.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -132,7 +132,7 @@ def _cmd_count(cfg: argparse.Namespace) -> None:
     if sum(x is not None for x in (cfg.host, cfg.p, cfg.M)) > 1:
         raise InputError("count takes only one of --host, --p and --M")
     p = _load_pattern(cfg)
-    if cfg.host:
+    if cfg.host is not None:
         g = _load_host(cfg)
         source = {"host": cfg.host}
     elif cfg.n is not None and cfg.p is not None:
@@ -154,7 +154,7 @@ def _cmd_count(cfg: argparse.Namespace) -> None:
 
 def _cmd_scan(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
-    n_list = cfg.n_list if cfg.n_list else ((cfg.n,) if cfg.n else None)
+    n_list = cfg.n_list if cfg.n_list else ((cfg.n,) if cfg.n is not None else None)
     if not n_list:
         raise InputError("scan needs --n-list or --n")
     estimates = thresholds.threshold_scan(
@@ -309,7 +309,7 @@ def _cmd_models(cfg: argparse.Namespace) -> None:
 
 def _cmd_regularity(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
-    if cfg.host:
+    if cfg.host is not None:
         g = _load_host(cfg)
     else:
         g = host.sample_gnp(p.k, _need(cfg, "n"), _need(cfg, "p"), cfg.seed)
@@ -410,7 +410,7 @@ def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
 def config_from_args(argv) -> argparse.Namespace:
     parser = build_parser()
     cfg = parser.parse_args(argv)
-    if cfg.config:
+    if cfg.config is not None:
         # file values come first, so the command line's flags win
         cfg = parser.parse_args(_config_flags(parser, cfg.config) + list(argv))
     if cfg.workers < 1:

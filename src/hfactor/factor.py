@@ -64,8 +64,10 @@ class FactorCounter:
 
     Blocks (v-subsets that host at least one copy) are precomputed with their
     embedding multiplicities; count(mask) then counts partitions of the
-    vertices selected by mask into blocks, weighted by multiplicity.  Per-edge
-    copy counts and copy degrees come on first use; without_edge carries them.
+    vertices selected by mask into blocks, weighted by multiplicity.  Every
+    pattern kind keeps one table of copy groups per block (block mask -> {host
+    edges a copy uses: copies}), built on first use with the per-edge index;
+    without_edge carries both, and the copy degrees.
     """
 
     def __init__(self, pattern: PatternGraph, g: HostGraph, *, _carried=None):
@@ -77,52 +79,40 @@ class FactorCounter:
         self.pattern = pattern
         self.host = g
         self.full_mask = (1 << g.n) - 1
-        if _carried is not None:
-            self._blocks_by_min, self._copies, self._index, self._degrees, self._memo = _carried
-            # host_blocks order is lexicographic, so by lowest vertex first
-            self._blocks = [item for items in self._blocks_by_min for item in items]
-            return
-        # exact counts, and 0 for every mask exists() found no factor on
-        self._memo: dict[int, int] = {0: 1}
-        self._copies = self._index = self._degrees = None
-        blocks, by_min = [], [[] for _ in range(g.n)]
-        for block, emb in host_blocks(pattern, g):
-            m = 0
-            for x in block:
-                m |= 1 << x
-            item = (m, emb)
-            by_min[block[0]].append(item)
-            blocks.append(item)
-        self._blocks, self._blocks_by_min = blocks, by_min
+        if _carried is None:
+            by_min = [[] for _ in range(g.n)]
+            for block, emb in host_blocks(pattern, g):
+                m = 0
+                for x in block:
+                    m |= 1 << x
+                by_min[block[0]].append((m, emb))
+            # exact counts, and 0 for every mask exists() found no factor on
+            _carried = (by_min, None, None, None, {0: 1})
+        self._blocks_by_min, self._copies, self._index, self._degrees, self._memo = _carried
+        # host_blocks order is lexicographic, so by lowest vertex first
+        self._blocks = list(itertools.chain.from_iterable(self._blocks_by_min))
 
     def _edge_index(self) -> dict[tuple[int, ...], dict[int, int]]:
-        """Host edge -> {block mask: its labeled copies using the edge}, built on first use.
-
-        Each block's copies are grouped by the host edges they use (mask -> {edges: copies});
-        the groups are kept for patterns other than a single edge or a complete graph.
-        """
+        """Host edge -> {block mask: its labeled copies using the edge}, built with _copies on first use."""
         if self._index is None:
             p = self.pattern
             if p.is_single_edge() or p.is_complete_graph():
-                blocks = ((m, self._uniform_group(m, emb)) for m, emb in self._blocks)
+                # every embedding of a single edge or a complete graph uses every k-subset of its block
+                self._copies = {m: {frozenset(itertools.combinations(mask_bits(m), p.k)): emb}
+                                for m, emb in self._blocks}
             else:
                 self._copies = {}
                 for c in enumerate_copies(p, self.host):
                     edges = frozenset(tuple(sorted(c[x] for x in pe)) for pe in p.edges)
                     groups = self._copies.setdefault(sum(1 << x for x in c), {})
                     groups[edges] = groups.get(edges, 0) + 1
-                blocks = self._copies.items()
             self._index = {}
-            for bmask, groups in blocks:
+            for bmask, groups in self._copies.items():
                 for edges, c in groups.items():
                     for f in edges:
                         uses = self._index.setdefault(f, {})
                         uses[bmask] = uses.get(bmask, 0) + c
         return self._index
-
-    def _uniform_group(self, bmask: int, emb: int) -> dict[frozenset[tuple[int, ...]], int]:
-        # every embedding of a single edge or a complete graph uses every k-subset of its block
-        return {frozenset(itertools.combinations(mask_bits(bmask), self.pattern.k)): emb}
 
     def _vertex_degrees(self) -> list[int]:
         if self._degrees is None:
@@ -132,7 +122,7 @@ class FactorCounter:
     def without_edge(self, e) -> FactorCounter:
         """Counter on the host minus edge e, carried over from this one, which is left unchanged.
 
-        Only the copies using e are lost: their blocks lose them (a block left
+        Only the copies using e are lost: their blocks' copy groups lose them (a block left
         with none goes), and so do the per-edge index and the copy degrees.
         A count on a mask missing a vertex of e involves no block through e; one on a mask m
         through e loses lost_B * count(m - B) per block B through e inside m (lost_B: its copies
@@ -140,13 +130,12 @@ class FactorCounter:
         """
         key = tuple(sorted(e))
         parent = self._edge_index()
-        index, degrees = dict(parent), list(self._vertex_degrees())
-        copies = None if self._copies is None else dict(self._copies)
+        index, degrees, copies = dict(parent), list(self._vertex_degrees()), dict(self._copies)
         lost = parent.get(key, {})  # block mask -> its copies using e
         for bmask, gone in lost.items():
             for x in mask_bits(bmask):
                 degrees[x] -= gone
-            groups = self._uniform_group(bmask, gone) if copies is None else copies.pop(bmask)
+            groups = copies.pop(bmask)
             for edges, c in groups.items():
                 if key in edges:
                     for f in edges:

@@ -297,7 +297,7 @@ def hypothesis_check(
     if theorem == "all-order":
         top = max((e_by[j] for j in range(1, d + 1)), default=0.0)
         report["binding_ratio"] = ratio(n**eps * top, e0)
-        report["passes"] = e0 >= n**eps * top and top >= 0
+        report["passes"] = e0 >= n**eps * top
     elif theorem == "absolute-low-order":
         report["binding_ratio"] = low * n**eps
         report["passes"] = e0 > omega_threshold and low <= n ** (-eps)

@@ -437,6 +437,25 @@ def test_trace_rejects_negative_t_max(k2_file, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# a flag given an empty or zero value is still given: it is used, not read as absent
+@pytest.mark.parametrize(
+    "args",
+    [["count", "--host", "", "--n", "4"],
+     ["regularity", "--host", "", "--n", "8", "--p", "0.5"],
+     ["scan", "--n", "0"],
+     ["analyze", "--out", ""],
+     ["count", "--n", "4", "--config", ""]],
+    ids=["count-empty-host", "regularity-empty-host", "scan-n-0", "analyze-empty-out", "count-empty-config"],
+)
+def test_falsy_flag_value_is_not_ignored(args, k2_file, capsys):
+    code, out, err = run_cli([args[0], "--pattern", k2_file, *args[1:]], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if args[0] == "scan":
+        assert err == "error: need n >= k, got n=0, k=2\n"
+
+
 MALFORMED = {
     "pattern-dir": ["analyze", "--pattern", "DIR"],
     "out-dir": ["analyze", "--pattern", "K3", "--out", "DIR"],

@@ -333,6 +333,9 @@ def test_without_edge_matches_fresh_counter(p, n):
             # every memo entry carried over, corrected through e or kept as it was, is exact
             assert carried._memo == {m: fresh.count(m) for m in carried._memo}
             assert carried.block_items() == fresh.block_items()
+            # the carried copy groups and per-edge index are exactly the fresh ones
+            assert carried._edge_index() == fresh._edge_index()
+            assert carried._copies == fresh._copies
             masks = [fresh.full_mask] + [fresh.full_mask & ~b for b, _ in fresh.block_items()]
             # existence first, so failed masks are memoized before the counts
             for counter in (carried, fresh):
@@ -368,11 +371,11 @@ def test_without_edge_recounts_full_count_from_corrected_memo():
 
 def _carried_state(counter):
     """Deep copies of what without_edge reads from a counter."""
-    index = counter._edge_index()  # also groups the copies of a non-uniform pattern
+    index = counter._edge_index()  # also builds the copy groups of each block
     return (
         list(counter.block_items()),
         [list(items) for items in counter._blocks_by_min],
-        None if counter._copies is None else {m: dict(groups) for m, groups in counter._copies.items()},
+        {m: dict(groups) for m, groups in counter._copies.items()},
         {e: dict(uses) for e, uses in index.items()},
         counter.copy_vertex_degrees(),
         dict(counter._memo),
