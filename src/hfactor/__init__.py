@@ -35,7 +35,6 @@ from .factor import (
     weight_w,
 )
 from .host import (
-    EdgeOrdering,
     HostGraph,
     compare_models,
     complete_host,

@@ -43,8 +43,6 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in asdict(obj).items()}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable(x) for x in obj)
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, float):
@@ -347,16 +345,23 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
+def _path(text: str) -> str:
+    # an empty path would name the current directory
+    if not text:
+        raise argparse.ArgumentTypeError("needs a path, got an empty string")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hfactor",
         description="Pattern-factor counting, deletion traces, and threshold experiments.",
     )
     parser.add_argument("command", choices=_DISPATCH)
-    parser.add_argument("--config", help="JSON file whose keys are flag names; flags win")
-    parser.add_argument("--pattern")
-    parser.add_argument("--host")
-    parser.add_argument("--weights")
+    parser.add_argument("--config", type=_path, help="JSON file whose keys are flag names; flags win")
+    parser.add_argument("--pattern", type=_path)
+    parser.add_argument("--host", type=_path)
+    parser.add_argument("--weights", type=_path)
     parser.add_argument("--n", type=int)
     parser.add_argument("--n-list", type=_int_list, help="comma-separated host sizes")
     parser.add_argument("--p", type=float)
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--b-level", type=float, default=10.0)
     parser.add_argument("--sweep", action="store_true")
     parser.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
-    parser.add_argument("--out")
+    parser.add_argument("--out", type=_path)
     parser.add_argument("--format", choices=["csv", "json"], default="json")
     return parser
 

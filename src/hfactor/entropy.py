@@ -35,10 +35,6 @@ class WeightedFamily:
         if not all(0 <= w < math.inf for w in self.weights):
             raise InputError("weights must be finite and nonnegative")
 
-    @property
-    def total(self) -> float:
-        return sum(self.weights)
-
 
 @dataclass(frozen=True)
 class CopyDistribution:
@@ -206,53 +202,35 @@ def weight_lemma_check(n: int, v: int, weights: dict, bound: float) -> dict:
                     psi[key] = w
 
     half_floor = Fraction(n - v, 2)
-    hypothesis_ok = True
-    hypothesis_witness = None
-    for y in itertools.combinations(range(n), v - 1):
-        ykey = frozenset(y)
-        if psi[ykey] < bound:
-            continue
-        good = sum(
-            1 for x in range(n) if x not in ykey
-            and table[ykey | {x}] >= psi[ykey] / 2
-        )
-        if good < half_floor:
-            hypothesis_ok = False
-            hypothesis_witness = tuple(sorted(ykey))
-            break
 
-    conclusion_ok = None
-    counterexample = None
-    if hypothesis_ok:
-        conclusion_ok = True
-        for i in range(1, v + 1):
-            need = half_floor**i / math.factorial(i - 1)
-            threshold_scale = 2.0 ** (i - 1) * bound
-            # one pass over all v-sets, crediting each contained (v-i)-set
-            qualifying: dict[frozenset, int] = {}
-            for z, w in table.items():
-                for x in itertools.combinations(sorted(z), v - i):
-                    xkey = frozenset(x)
-                    if psi[xkey] >= threshold_scale and w >= psi[xkey] / 2**i:
-                        qualifying[xkey] = qualifying.get(xkey, 0) + 1
-            for x in itertools.combinations(range(n), v - i):
+    def first_short(i: int):
+        # the first (v-i)-set X in lexicographic order with psi(X) >= 2^(i-1)*bound
+        # and too few completions of weight >= psi(X)/2^i, or None
+        need = half_floor**i / math.factorial(i - 1)
+        threshold_scale = 2.0 ** (i - 1) * bound
+        # one pass over all v-sets, crediting each contained (v-i)-set
+        qualifying: dict[frozenset, int] = {}
+        for z, w in table.items():
+            for x in itertools.combinations(sorted(z), v - i):
                 xkey = frozenset(x)
-                if psi[xkey] < threshold_scale:
-                    continue
-                good = qualifying.get(xkey, 0)
-                if good < need:
-                    conclusion_ok = False
-                    counterexample = {"x": tuple(sorted(xkey)), "i": i,
-                                      "found": good, "needed": float(need)}
-                    break
-            if not conclusion_ok:
-                break
+                if psi[xkey] >= threshold_scale and w >= psi[xkey] / 2**i:
+                    qualifying[xkey] = qualifying.get(xkey, 0) + 1
+        for x in itertools.combinations(range(n), v - i):
+            xkey = frozenset(x)
+            good = qualifying.get(xkey, 0)
+            if psi[xkey] >= threshold_scale and good < need:
+                return {"x": x, "i": i, "found": good, "needed": float(need)}
+        return None
+
+    # the hypothesis is the conclusion's statement at i = 1
+    short = first_short(1)
+    counterexample = None if short else next(filter(None, map(first_short, range(2, v + 1))), None)
     return {
         "n": n,
         "v": v,
         "bound": bound,
-        "hypothesis_holds": hypothesis_ok,
-        "hypothesis_witness": hypothesis_witness,
-        "conclusion_holds": conclusion_ok,
+        "hypothesis_holds": short is None,
+        "hypothesis_witness": None if short is None else short["x"],
+        "conclusion_holds": None if short else counterexample is None,
         "counterexample": counterexample,
     }

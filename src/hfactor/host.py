@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import InputError
 from .parallel import pool_scope, run_trials
-from .pattern import PatternGraph, _parse_edge, _parse_int, _split_header, check_divisible
+from .pattern import PatternGraph, check_divisible, normalized_edges, read_edge_file
 from .rng import derive_seed, rng_for
 
 MAX_HOST_VERTICES_SAMPLING = 10_000
@@ -29,23 +29,9 @@ class HostGraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InputError(f"edge arity must be at least 2, got {self.k}")
         if self.n < 0:
             raise InputError("vertex count must be nonnegative")
-        normalized = []
-        for e in self.edges:
-            e = tuple(sorted(e))
-            if len(e) != self.k or len(set(e)) != self.k:
-                raise InputError(f"edge {e} is not a {self.k}-subset")
-            if e and (e[0] < 0 or e[-1] >= self.n):
-                raise InputError(f"edge {e} has a vertex outside 0..{self.n - 1}")
-            normalized.append(e)
-        normalized.sort()
-        for a, b in zip(normalized, normalized[1:]):
-            if a == b:
-                raise InputError(f"duplicate edge {a}")
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", normalized_edges(self.k, self.n, self.edges))
 
     @property
     def m(self) -> int:
@@ -84,18 +70,8 @@ class HostGraph:
         return HostGraph(self.k, self.n, tuple(x for x in self.edges if x != key))
 
 
-@dataclass(frozen=True)
-class EdgeOrdering:
-    """A uniform random ordering of every possible k-edge on [n]."""
-
-    k: int
-    n: int
-    seed: int
-    sequence: tuple[tuple[int, ...], ...]
-
-
 def host_from_edges(k: int, n: int, edges) -> HostGraph:
-    return HostGraph(k=k, n=n, edges=tuple(tuple(e) for e in edges))
+    return HostGraph(k=k, n=n, edges=edges)
 
 
 def complete_host(k: int, n: int) -> HostGraph:
@@ -103,15 +79,8 @@ def complete_host(k: int, n: int) -> HostGraph:
 
 
 def parse_host(text: str) -> HostGraph:
-    """Host file format: identical to the pattern format with n in the header."""
-    header, lines = _split_header(text)
-    if header[0] == "graph" and len(header) == 2:
-        k, n = 2, _parse_int(header[1])
-    elif header[0] == "hypergraph" and len(header) == 3:
-        k, n = _parse_int(header[1]), _parse_int(header[2])
-    else:
-        raise InputError("header must be 'graph <n>' or 'hypergraph <k> <n>'")
-    return host_from_edges(k, n, [_parse_edge(line, k) for line in lines])
+    """A host from the edge-list file format of patterns, with n in the header."""
+    return HostGraph(*read_edge_file(text))
 
 
 def total_edges(k: int, n: int) -> int:
@@ -189,14 +158,14 @@ def sample_gnm(k: int, n: int, m_edges: int, seed: int) -> HostGraph:
     return host_from_edges(k, n, _edges_at_ranks(chosen, n, k))
 
 
-def random_ordering(k: int, n: int, seed: int) -> EdgeOrdering:
+def random_ordering(k: int, n: int, seed: int) -> tuple[tuple[int, ...], ...]:
     """Uniform random permutation of the complete edge list."""
     if n < k:
         raise InputError(f"need n >= k, got n={n}, k={k}")
     rng = rng_for(seed)
     seq = list(itertools.combinations(range(n), k))
     rng.shuffle(seq)
-    return EdgeOrdering(k=k, n=n, seed=seed, sequence=tuple(seq))
+    return tuple(seq)
 
 
 def _factor_sample_worker(payload) -> bool:

@@ -3,6 +3,7 @@
 A pattern lives on vertices 0..v-1 with edges that are k-subsets.  Densities
 are exact rationals so balance classification never hinges on float ties.
 Everything here is exhaustive enumeration; patterns are capped at 12 vertices.
+The edge-list file format and the edge rules, which hosts share, live here too.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class PatternGraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 2:
-            raise InputError(f"edge arity must be at least 2, got {self.k}")
         if self.v < self.k:
             raise InputError(f"need at least k={self.k} vertices, got {self.v}")
         if self.v > MAX_PATTERN_VERTICES:
@@ -45,21 +44,10 @@ class PatternGraph:
                 f"pattern has {self.v} vertices; exhaustive analytics are capped "
                 f"at {MAX_PATTERN_VERTICES}"
             )
-        if not self.edges:
+        edges = normalized_edges(self.k, self.v, self.edges)
+        if not edges:
             raise InputError("pattern must have at least one edge")
-        normalized = []
-        for e in self.edges:
-            e = tuple(sorted(e))
-            if len(e) != self.k or len(set(e)) != self.k:
-                raise InputError(f"edge {e} is not a {self.k}-subset")
-            if e[0] < 0 or e[-1] >= self.v:
-                raise InputError(f"edge {e} has a vertex outside 0..{self.v - 1}")
-            normalized.append(e)
-        normalized.sort()
-        for a, b in zip(normalized, normalized[1:]):
-            if a == b:
-                raise InputError(f"duplicate edge {a}")
-        object.__setattr__(self, "edges", tuple(normalized))
+        object.__setattr__(self, "edges", edges)
 
     @property
     def m(self) -> int:
@@ -94,8 +82,31 @@ def check_divisible(p: PatternGraph, n: int) -> None:
         raise InputError(f"n={n} is not divisible by pattern size {p.v}")
 
 
+def normalized_edges(k: int, size: int, edges) -> tuple[tuple[int, ...], ...]:
+    """The edges as a sorted tuple of sorted vertex tuples, validated.
+
+    Every edge must be a k-subset of 0..size-1 (k at least 2), and no edge
+    may repeat.  Patterns and hosts both normalize their edges here.
+    """
+    if k < 2:
+        raise InputError(f"edge arity must be at least 2, got {k}")
+    normalized = []
+    for e in edges:
+        e = tuple(sorted(e))
+        if len(e) != k or len(set(e)) != k:
+            raise InputError(f"edge {e} is not a {k}-subset")
+        if e[0] < 0 or e[-1] >= size:
+            raise InputError(f"edge {e} has a vertex outside 0..{size - 1}")
+        normalized.append(e)
+    normalized.sort()
+    for a, b in zip(normalized, normalized[1:]):
+        if a == b:
+            raise InputError(f"duplicate edge {a}")
+    return tuple(normalized)
+
+
 def pattern_from_edges(k: int, v: int, edges) -> PatternGraph:
-    return PatternGraph(k=k, v=v, edges=tuple(tuple(e) for e in edges))
+    return PatternGraph(k=k, v=v, edges=edges)
 
 
 def complete_pattern(v: int) -> PatternGraph:
@@ -114,36 +125,30 @@ def cycle_pattern(v: int) -> PatternGraph:
     return pattern_from_edges(2, v, [(i, (i + 1) % v) for i in range(v)])
 
 
-def parse_pattern(text: str) -> PatternGraph:
-    """Parse the pattern file format.
+def read_edge_file(text: str) -> tuple[int, int, list[tuple[int, ...]]]:
+    """Read the edge-list file format of patterns and hosts into ``(k, size, edges)``.
 
-    Line 1 is ``graph <v>`` or ``hypergraph <k> <v>``; every following
+    Line 1 is ``graph <size>`` or ``hypergraph <k> <size>``; every following
     nonblank line is one edge given as k vertex indices (0-based).  Lines
     starting with ``#`` are comments.
     """
-    header, lines = _split_header(text)
-    if header[0] == "graph":
-        if len(header) != 2:
-            raise InputError("header must be 'graph <v>'")
-        k, v = 2, _parse_int(header[1])
-    elif header[0] == "hypergraph":
-        if len(header) != 3:
-            raise InputError("header must be 'hypergraph <k> <v>'")
-        k, v = _parse_int(header[1]), _parse_int(header[2])
-    else:
-        raise InputError(f"unknown header kind {header[0]!r}")
-    edges = [_parse_edge(line, k) for line in lines]
-    if not edges:
-        raise InputError("pattern file declares no edges")
-    return pattern_from_edges(k, v, edges)
-
-
-def _split_header(text: str) -> tuple[list[str], list[str]]:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise InputError("empty file")
-    return lines[0].split(), lines[1:]
+    header = lines[0].split()
+    if header[0] == "graph" and len(header) == 2:
+        k, size = 2, _parse_int(header[1])
+    elif header[0] == "hypergraph" and len(header) == 3:
+        k, size = _parse_int(header[1]), _parse_int(header[2])
+    else:
+        raise InputError("header must be 'graph <size>' or 'hypergraph <k> <size>'")
+    return k, size, [_parse_edge(line, k) for line in lines[1:]]
+
+
+def parse_pattern(text: str) -> PatternGraph:
+    """A pattern from the edge-list file format (see ``read_edge_file``)."""
+    return PatternGraph(*read_edge_file(text))
 
 
 def _parse_int(tok: str) -> int:

@@ -122,7 +122,7 @@ def run_process(
     x_partial = Fraction(0)
     gamma_sum = Fraction(0)
 
-    for i, edge in enumerate(ordering.sequence, start=1):
+    for i, edge in enumerate(ordering, start=1):
         # state i - 1: the host before the i-th deletion, with phi_prev > 0
         degs = counter.copy_vertex_degrees()
         state_ok, prev_maxr = _guard_state(counter, degs, 1.0 - (i - 1) / total, b_level, reg_eps)

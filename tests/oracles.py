@@ -270,3 +270,21 @@ def evaluate_bruteforce(f, g: HostGraph) -> int:
     """Coefficient sum of the terms whose edges are all present in g."""
     edges = edge_set(g.edges)
     return sum(c for u, c in edge_image_terms(f).items() if all(frozenset(e) in edges for e in u))
+
+
+def weight_lemma_hypothesis_bruteforce(n: int, v: int, weights: dict, bound: float):
+    """The first (v-1)-set of range(n), lexicographically, that breaks the weight
+    lemma's hypothesis, or None when it holds.
+
+    Straight from the definition: psi(Y) is the largest weight of a v-superset
+    of Y (absent keys weigh 0), and Y breaks the hypothesis when
+    psi(Y) >= bound but fewer than (n-v)/2 vertices x complete Y to a v-set
+    of weight >= psi(Y)/2.
+    """
+    w = {frozenset(key): value for key, value in weights.items()}
+    for y in itertools.combinations(range(n), v - 1):
+        completions = [w.get(frozenset(y) | {x}, 0.0) for x in range(n) if x not in y]
+        psi = max(completions)
+        if psi >= bound and 2 * sum(c >= psi / 2 for c in completions) < n - v:
+            return y
+    return None

@@ -444,8 +444,11 @@ def test_trace_rejects_negative_t_max(k2_file, capsys):
      ["regularity", "--host", "", "--n", "8", "--p", "0.5"],
      ["scan", "--n", "0"],
      ["analyze", "--out", ""],
-     ["count", "--n", "4", "--config", ""]],
-    ids=["count-empty-host", "regularity-empty-host", "scan-n-0", "analyze-empty-out", "count-empty-config"],
+     ["count", "--n", "4", "--config", ""],
+     ["analyze", "--pattern", ""],
+     ["window", "--weights", ""]],
+    ids=["count-empty-host", "regularity-empty-host", "scan-n-0", "analyze-empty-out",
+         "count-empty-config", "analyze-empty-pattern", "window-empty-weights"],
 )
 def test_falsy_flag_value_is_not_ignored(args, k2_file, capsys):
     code, out, err = run_cli([args[0], "--pattern", k2_file, *args[1:]], capsys)
@@ -454,6 +457,9 @@ def test_falsy_flag_value_is_not_ignored(args, k2_file, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     if args[0] == "scan":
         assert err == "error: need n >= k, got n=0, k=2\n"
+    if "" in args:
+        # an empty path names its flag, not the current directory it would read as
+        assert args[args.index("") - 1] in err and "Errno" not in err
 
 
 MALFORMED = {

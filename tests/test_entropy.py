@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import graph_hosts
-from oracles import factor_list
+from oracles import factor_list, weight_lemma_hypothesis_bruteforce
 
 from hfactor.entropy import (
     WeightedFamily,
@@ -209,6 +209,25 @@ def test_weight_lemma_random_instances():
         rep = weight_lemma_check(n, v, weights, bound)
         assert rep["hypothesis_holds"]
         assert rep["conclusion_holds"], rep["counterexample"]
+
+
+def test_weight_lemma_hypothesis_matches_bruteforce():
+    rng = random.Random(907)
+    outcomes = Counter()
+    for case in range(300):
+        n = rng.randint(3, 9)
+        v = rng.randint(2, min(4, n - 1))
+        weights = {
+            z: rng.choice([0.0, 0.5, 1.0, 2.0, rng.uniform(0.0, 4.0)])
+            for z in itertools.combinations(range(n), v) if rng.random() < 0.3
+        }
+        bound = rng.choice([0.25, 1.0, 2.0])
+        rep = weight_lemma_check(n, v, weights, bound)
+        witness = weight_lemma_hypothesis_bruteforce(n, v, weights, bound)
+        assert rep["hypothesis_holds"] == (witness is None), (n, v, weights, bound)
+        assert rep["hypothesis_witness"] == witness, (n, v, weights, bound)
+        outcomes[witness is None] += 1
+    assert outcomes[True] > 20 and outcomes[False] > 20, outcomes
 
 
 def test_weight_lemma_validation():

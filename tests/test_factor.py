@@ -326,7 +326,7 @@ def test_without_edge_matches_fresh_counter(p, n):
     for seed in (3, 4):
         g = complete_host(p.k, n)
         carried = FactorCounter(p, g)
-        for e in random_ordering(p.k, n, seed).sequence:
+        for e in random_ordering(p.k, n, seed):
             g = g.without_edge(e)
             carried = carried.without_edge(e)
             fresh = FactorCounter(p, g)
@@ -387,7 +387,7 @@ def _carried_state(counter):
 )
 def test_without_edge_leaves_parent_unchanged(p, n):
     g = complete_host(p.k, n)
-    for e in random_ordering(p.k, n, 5).sequence[: len(g.edges) // 3]:
+    for e in random_ordering(p.k, n, 5)[: len(g.edges) // 3]:
         g = g.without_edge(e)
     counter = FactorCounter(p, g)
     counter.count()

@@ -134,14 +134,12 @@ def test_gnp_at_documented_vertex_cap():
 
 def test_ordering_is_permutation():
     ordering = random_ordering(2, 6, 11)
-    assert sorted(ordering.sequence) == list(itertools.combinations(range(6), 2))
-    again = random_ordering(2, 6, 11)
-    assert ordering.sequence == again.sequence
+    assert sorted(ordering) == list(itertools.combinations(range(6), 2))
+    assert ordering == random_ordering(2, 6, 11)
 
 
 def test_ordering_hypergraph():
-    ordering = random_ordering(3, 5, 2)
-    assert sorted(ordering.sequence) == list(itertools.combinations(range(5), 3))
+    assert sorted(random_ordering(3, 5, 2)) == list(itertools.combinations(range(5), 3))
 
 
 def test_gnp_mean_edge_count():

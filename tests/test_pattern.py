@@ -8,6 +8,7 @@ from conftest import graph_patterns
 from oracles import all_subgraph_profile, automorphisms_bruteforce
 
 from hfactor.errors import InputError
+from hfactor.host import parse_host
 from hfactor.pattern import (
     Balance,
     automorphism_count,
@@ -40,21 +41,39 @@ def test_parse_comments_and_blanks():
     assert p == K3
 
 
+# texts both readers reject; a host may have no edges, so "graph 3\n" fails only as a pattern
+REJECTED_BY_BOTH = [
+    "graph 2\n0 1\n0 1",      # duplicate edge
+    "graph 3\n0 1 2",         # arity mismatch
+    "graph 3\n0 3",           # vertex out of range
+    "graph 2\n0 0",           # repeated vertex inside an edge
+    "mesh 3\n0 1",            # unknown header
+    "graph\n0 1",             # malformed header
+    "graph -2\n",             # negative vertex count
+    "hypergraph 3 5\n0 2 5",  # vertex out of range, in a hypergraph
+    "",                       # empty file
+    "# comment only\n\n",     # nothing but comments and blanks
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "graph 2\n0 1\n0 1",      # duplicate edge
-        "graph 3\n0 1 2",         # arity mismatch
-        "graph 3\n0 3",           # vertex out of range
-        "graph 3\n",              # no edges
-        "graph 2\n0 0",           # repeated vertex inside an edge
-        "mesh 3\n0 1",            # unknown header
-        "graph\n0 1",             # malformed header
-    ],
+    "parse, text",
+    [pytest.param(parse_pattern, text, id=text) for text in [*REJECTED_BY_BOTH, "graph 3\n"]]
+    + [pytest.param(parse_host, text, id=f"host-{text}") for text in REJECTED_BY_BOTH],
 )
-def test_parse_rejects(text):
+def test_parse_rejects(parse, text):
     with pytest.raises(InputError):
-        parse_pattern(text)
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["graph 4\n# a path\n2 1\n0 1\n3 2\n", "hypergraph 3 5\n3 2 1\n\n2 1 0\n"]
+)
+def test_pattern_and_host_read_the_same_edges(text):
+    p, g = parse_pattern(text), parse_host(text)
+    assert (p.k, p.v) == (g.k, g.n)
+    assert p.edges == g.edges
+    assert p.edges == tuple(sorted(p.edges)) and all(list(e) == sorted(e) for e in p.edges)
 
 
 def test_pattern_cap():
