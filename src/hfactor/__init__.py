@@ -7,6 +7,7 @@ copy-polynomial expectations, and Monte Carlo threshold estimation.
 
 from .embed import (
     ConstraintSpec,
+    automorphism_count,
     constrained_count,
     copy_degree,
     copy_degrees,
@@ -36,7 +37,6 @@ from .factor import (
 )
 from .host import (
     HostGraph,
-    compare_models,
     complete_host,
     host_from_edges,
     parse_host,
@@ -48,7 +48,6 @@ from .pattern import (
     Balance,
     DensityReport,
     PatternGraph,
-    automorphism_count,
     complete_pattern,
     cycle_pattern,
     density,
@@ -75,6 +74,7 @@ from .process import (
 )
 from .thresholds import (
     ThresholdEstimate,
+    compare_models,
     coverage_check,
     formula_threshold,
     role_coverage_check,

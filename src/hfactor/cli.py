@@ -96,7 +96,10 @@ def _load_pattern(cfg: argparse.Namespace) -> pattern.PatternGraph:
 
 
 def _load_host(cfg: argparse.Namespace) -> host.HostGraph:
-    return host.parse_host(_read_text(_need(cfg, "host")))
+    g = host.parse_host(_read_text(_need(cfg, "host")))
+    if cfg.n is not None and cfg.n != g.n:
+        raise InputError(f"--n {cfg.n} does not match the {g.n} vertices of --host")
+    return g
 
 
 def _need(cfg: argparse.Namespace, name: str):
@@ -121,7 +124,7 @@ def _cmd_analyze(cfg: argparse.Namespace) -> None:
         },
         "critical_edge_count": prof.critical_edge_count,
         "balance": prof.balance,
-        "automorphism_count": prof.automorphism_count,
+        "automorphism_count": embed.automorphism_count(p),
     }
     _emit(report, cfg)
 
@@ -151,8 +154,10 @@ def _cmd_count(cfg: argparse.Namespace) -> None:
 
 
 def _cmd_scan(cfg: argparse.Namespace) -> None:
+    if cfg.n is not None and cfg.n_list is not None:
+        raise InputError("scan takes only one of --n and --n-list")
     p = _load_pattern(cfg)
-    n_list = cfg.n_list if cfg.n_list else ((cfg.n,) if cfg.n is not None else None)
+    n_list = cfg.n_list if cfg.n is None else (cfg.n,)
     if not n_list:
         raise InputError("scan needs --n-list or --n")
     estimates = thresholds.threshold_scan(
@@ -297,7 +302,7 @@ def _cmd_poly(cfg: argparse.Namespace) -> None:
 def _cmd_models(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
     _emit(
-        host.compare_models(
+        thresholds.compare_models(
             p, _need(cfg, "n"), _need(cfg, "p"), cfg.trials, cfg.seed,
             sweep=cfg.sweep, workers=cfg.workers,
         ),

@@ -2,7 +2,8 @@
 
 A labeled copy is an injection from pattern vertices to host vertices taking
 every pattern edge to a host edge.  Copies are represented as tuples whose
-i-th entry is the image of pattern vertex i.
+i-th entry is the image of pattern vertex i.  The automorphisms of a pattern
+are its labeled copies in itself.
 """
 
 from __future__ import annotations
@@ -154,6 +155,16 @@ def constrained_count(pattern: PatternGraph, g: HostGraph, spec: ConstraintSpec)
     return count * multiplier
 
 
+def automorphism_count(p: PatternGraph) -> int:
+    """Number of vertex permutations mapping the edge set onto itself.
+
+    These are the labeled copies of p in itself: an injection of the vertex
+    set into itself is a bijection, and it maps the edge set into itself iff
+    onto.
+    """
+    return constrained_count(p, HostGraph(p.k, p.v, p.edges), full_constraint(p))
+
+
 def enumerate_copies(pattern: PatternGraph, g: HostGraph) -> list[Copy]:
     """All labeled copies, sorted lexicographically by image tuple."""
     _, _, partials = _count_or_collect(pattern, g, full_constraint(pattern), collect=True)
@@ -174,7 +185,7 @@ def enumerate_copies(pattern: PatternGraph, g: HostGraph) -> list[Copy]:
 
 def role_images(pattern: PatternGraph, g: HostGraph) -> list[set[int]]:
     """For each pattern vertex, the host vertices it maps to across all copies."""
-    if pattern.is_single_edge() or pattern.is_complete_graph():
+    if pattern.is_complete():
         # every vertex of a block takes every role
         covered = {x for block, _ in host_blocks(pattern, g) for x in block}
         return [set(covered) for _ in range(pattern.v)]
@@ -252,14 +263,14 @@ def host_blocks(pattern: PatternGraph, g: HostGraph) -> list[tuple[tuple[int, ..
     """Every v-set hosting a copy as (sorted vertex tuple, labeled copies on it).
 
     Blocks come in lexicographic order.  A single edge hosts k! copies and a
-    clique of a complete pattern v! copies; any other pattern groups its
+    clique of a complete graph v! copies; any other pattern groups its
     enumerated copies by vertex set.
     """
     _check_arity(pattern, g)
-    if pattern.is_single_edge():
+    if pattern.v == pattern.k:
         fac = math.factorial(pattern.k)
         return [(e, fac) for e in g.edges]
-    if pattern.is_complete_graph():
+    if pattern.k == 2 and pattern.is_complete():
         fac = math.factorial(pattern.v)
         return [(c, fac) for c in _cliques(g.adjacency, pattern.v, (1 << g.n) - 1, ())]
     return sorted(Counter(tuple(sorted(c)) for c in enumerate_copies(pattern, g)).items())

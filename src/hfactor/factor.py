@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .embed import block_degrees, enumerate_copies, host_blocks
+from .embed import automorphism_count, block_degrees, enumerate_copies, host_blocks
 from .errors import InputError, InvariantError, NoFactorError
 from .host import HostGraph, mask_bits
-from .pattern import PatternGraph, automorphism_count, check_divisible
+from .pattern import PatternGraph, check_divisible
 
 # bitmask DP state space grows as 2^n; caps keep worst cases to a few seconds
 DEFAULT_CAPS = {2: 24, 3: 15}
@@ -96,8 +96,8 @@ class FactorCounter:
         """Host edge -> {block mask: its labeled copies using the edge}, built with _copies on first use."""
         if self._index is None:
             p = self.pattern
-            if p.is_single_edge() or p.is_complete_graph():
-                # every embedding of a single edge or a complete graph uses every k-subset of its block
+            if p.is_complete():
+                # every embedding of a complete pattern uses every k-subset of its block
                 self._copies = {m: {frozenset(itertools.combinations(mask_bits(m), p.k)): emb}
                                 for m, emb in self._blocks}
             else:

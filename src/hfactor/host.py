@@ -1,8 +1,9 @@
-"""Host (hyper)graphs on [n], random models, and the two-model comparison.
+"""Host (hyper)graphs on [n] and their random models.
 
 Random hosts come from the independent-edge model (each k-set kept with
 probability p) or the fixed-size model (a uniform M-subset of all k-sets).
-All sampling is deterministic in the seed.
+All sampling is deterministic in the seed.  The comparison of the two
+models, which needs factor existence, is in ``thresholds``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InputError
-from .parallel import pool_scope, run_trials
-from .pattern import PatternGraph, check_divisible, normalized_edges, read_edge_file
-from .rng import derive_seed, rng_for
+from .pattern import normalized_edges, read_edge_file
+from .rng import rng_for
 
 MAX_HOST_VERTICES_SAMPLING = 10_000
 
@@ -166,76 +166,3 @@ def random_ordering(k: int, n: int, seed: int) -> tuple[tuple[int, ...], ...]:
     seq = list(itertools.combinations(range(n), k))
     rng.shuffle(seq)
     return tuple(seq)
-
-
-def _factor_sample_worker(payload) -> bool:
-    pattern, n, mode, param, seed = payload
-    from .factor import has_factor
-
-    if mode == "p":
-        g = sample_gnp(pattern.k, n, param, seed)
-    else:
-        g = sample_gnm(pattern.k, n, param, seed)
-    return has_factor(pattern, g)
-
-
-@pool_scope()  # one process pool for all of this call's batches
-def compare_models(
-    pattern: PatternGraph,
-    n: int,
-    p: float,
-    trials: int,
-    seed: int,
-    sweep: bool = False,
-    workers: int = 1,
-) -> dict:
-    """Estimate Pr(host has a factor) under both random models.
-
-    The fixed-size model uses M = round(total * p) (Python rounding, half to
-    even).  The two estimates are not expected to agree at finite n: the
-    models differ by a real gap (about 0.06 for K2 at n=12, p=0.35), because
-    Pr_gnp(factor) is the binomial mixture
-    sum_M Bin(total, p)(M) * Pr_gnm(factor | M) of the fixed-size
-    probabilities, not their value at one M.  With ``sweep`` the fixed-size
-    estimate is repeated at half and double M.
-    """
-    check_divisible(pattern, n)
-    check_sampling_size(n, pattern.k)
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"p must lie in [0, 1], got {p}")
-    if trials < 1:
-        raise InputError("need at least one trial")
-    total = total_edges(pattern.k, n)
-    m_edges = round(total * p)
-
-    def estimate(mode: str, param, stream: int) -> tuple[float, float]:
-        payloads = [
-            (pattern, n, mode, param, derive_seed(seed, stream, t))
-            for t in range(trials)
-        ]
-        hits = sum(run_trials(_factor_sample_worker, payloads, workers))
-        est = hits / trials
-        return est, math.sqrt(est * (1.0 - est) / trials)
-
-    est_p, se_p = estimate("p", p, 0)
-    est_m, se_m = estimate("m", m_edges, 1)
-    report = {
-        "n": n,
-        "p": p,
-        "m_edges": m_edges,
-        "trials": trials,
-        "seed": seed,
-        "pr_gnp": est_p,
-        "se_gnp": se_p,
-        "pr_gnm": est_m,
-        "se_gnm": se_m,
-        "difference": est_p - est_m,
-        "combined_se": math.sqrt(se_p**2 + se_m**2),
-    }
-    if sweep:
-        rows = []
-        for j, m_alt in enumerate(sorted({max(0, m_edges // 2), m_edges, min(total, 2 * m_edges)})):
-            est, se = estimate("m", m_alt, 2 + j)
-            rows.append({"m_edges": m_alt, "pr_gnm": est, "se_gnm": se})
-        report["sweep"] = rows
-    return report

@@ -53,16 +53,14 @@ class PatternGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def is_complete_graph(self) -> bool:
-        return self.k == 2 and self.m == math.comb(self.v, 2)
-
-    def is_single_edge(self) -> bool:
-        return self.m == 1 and self.v == self.k
+    def is_complete(self) -> bool:
+        """Every k-subset is an edge (a single edge is the case v = k)."""
+        return self.m == math.comb(self.v, self.k)
 
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Density and symmetry summary of one pattern.
+    """Density summary of one pattern.
 
     per_vertex maps each vertex to (local max density, fewest edges among
     subpatterns attaining that density at the vertex).
@@ -73,7 +71,6 @@ class DensityReport:
     per_vertex: dict[int, tuple[Fraction, int]]
     critical_edge_count: int
     balance: Balance
-    automorphism_count: int
 
 
 def check_divisible(p: PatternGraph, n: int) -> None:
@@ -212,18 +209,4 @@ def density_profile(p: PatternGraph) -> DensityReport:
         per_vertex=per_vertex,
         critical_edge_count=max(fewest[x] for x in range(p.v)),
         balance=balance,
-        automorphism_count=automorphism_count(p),
     )
-
-
-def automorphism_count(p: PatternGraph) -> int:
-    """Number of vertex permutations mapping the edge set onto itself.
-
-    These are the labeled copies of p in itself: an injection of the vertex
-    set into itself is a bijection, and it maps the edge set into itself iff
-    onto.
-    """
-    from .embed import constrained_count, full_constraint
-    from .host import host_from_edges
-
-    return constrained_count(p, host_from_edges(p.k, p.v, p.edges), full_constraint(p))

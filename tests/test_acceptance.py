@@ -28,12 +28,12 @@ from hfactor.factor import (
     edge_fraction,
     has_factor,
 )
-from hfactor.host import compare_models, complete_host, host_from_edges, sample_gnp
+from hfactor.host import complete_host, host_from_edges, sample_gnp
 from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern, single_edge_pattern
 from hfactor.polynomial import CopyPolynomial, derivative_expectation, derivative_profile
 from hfactor.process import run_process, verify_martingale_step
 from hfactor.rng import derive_seed
-from hfactor.thresholds import coverage_check, role_coverage_check, threshold_scan
+from hfactor.thresholds import compare_models, coverage_check, role_coverage_check, threshold_scan
 
 K2 = complete_pattern(2)
 K3 = complete_pattern(3)

@@ -29,6 +29,13 @@ def k2_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def p6_file(tmp_path):
+    path = tmp_path / "p6.txt"
+    path.write_text("graph 6\n" + "".join(f"{i} {i + 1}\n" for i in range(5)))
+    return str(path)
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -460,6 +467,36 @@ def test_falsy_flag_value_is_not_ignored(args, k2_file, capsys):
     if "" in args:
         # an empty path names its flag, not the current directory it would read as
         assert args[args.index("") - 1] in err and "Errno" not in err
+
+
+# a flag the command cannot use is an error, not dropped: a host file fixes n,
+# and a scan takes one n or a list
+@pytest.mark.parametrize(
+    "args, message",
+    [(["count", "--host", "HOST6", "--n", "12"], "--n 12 does not match the 6 vertices of --host"),
+     (["regularity", "--host", "HOST6", "--n", "40", "--p", "0.5"],
+      "--n 40 does not match the 6 vertices of --host"),
+     (["scan", "--n", "7", "--n-list", "12", "--trials", "2"],
+      "scan takes only one of --n and --n-list")],
+    ids=["count-host-n", "regularity-host-n", "scan-n-and-n-list"],
+)
+def test_unused_size_flag_is_an_error(args, message, k2_file, p6_file, capsys):
+    args = [p6_file if a == "HOST6" else a for a in args]
+    code, out, err = run_cli([args[0], "--pattern", k2_file, *args[1:], "--workers", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_host_file_with_matching_n(k2_file, p6_file, capsys):
+    # a config file shared with sampled runs may carry n; the host's own n is accepted
+    args = ["count", "--pattern", k2_file, "--host", p6_file]
+    code, without_n, _ = run_cli(args, capsys)
+    assert code == 0
+    code, with_n, _ = run_cli(args + ["--n", "6"], capsys)
+    assert code == 0
+    assert with_n == without_n
+    assert json.loads(with_n)["labeled"] == 8  # the one perfect matching, 2^3 labelings
 
 
 MALFORMED = {

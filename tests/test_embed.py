@@ -202,7 +202,8 @@ def _edge_case_hosts(p):
     return hosts
 
 
-# K4 and the 3-uniform edge take role_images' block path, like K2 and K3
+# every complete pattern takes role_images' block path: K2, K3, the complete
+# 3-graph on 4 vertices, K4 and the 3-uniform edge
 @pytest.mark.parametrize(
     "p", DIFF_PATTERNS + [complete_pattern(4), single_edge_pattern(3)],
     ids=lambda p: f"k{p.k}v{p.v}m{p.m}",

@@ -313,14 +313,17 @@ def test_edge_use_table_matches_oracles(p, n, prob):
 # every vertex outside their edge.
 K4 = complete_pattern(4)
 EDGE_AND_VERTEX = pattern_from_edges(2, 3, [(0, 1)])
+K4_3 = pattern_from_edges(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 CARRIED_CASES = [
     (K2, 8), (K3, 9), (K4, 8), (E3, 9), (P3, 9), (C4, 8), (TWO_TRIPLES, 8), (EDGE_AND_VERTEX, 9),
+    (K4_3, 8),
 ]
 
 
 @pytest.mark.parametrize(
     "p, n", CARRIED_CASES,
-    ids=["K2-8", "K3-9", "K4-8", "E3-9", "P3-9", "C4-8", "two-triples-8", "edge-and-vertex-9"],
+    ids=["K2-8", "K3-9", "K4-8", "E3-9", "P3-9", "C4-8", "two-triples-8", "edge-and-vertex-9",
+         "K4_3-8"],
 )
 def test_without_edge_matches_fresh_counter(p, n):
     for seed in (3, 4):

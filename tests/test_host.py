@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
-    binomial_mixture_estimate,
     sample_gnm_unranked,
     sample_gnp_unranked,
     unrank_edge,
@@ -14,7 +13,6 @@ from oracles import (
 from hfactor.errors import InputError
 from hfactor.host import (
     _edges_at_ranks,
-    compare_models,
     complete_host,
     host_from_edges,
     parse_host,
@@ -23,10 +21,7 @@ from hfactor.host import (
     sample_gnp,
     total_edges,
 )
-from hfactor.pattern import complete_pattern
 from hfactor.rng import derive_seed
-
-K2 = complete_pattern(2)
 
 
 def test_gnp_extremes():
@@ -178,29 +173,3 @@ def test_without_edge():
     assert h.m == 5 and not h.has_edge((0, 1))
     with pytest.raises(InputError):
         h.without_edge((0, 1))
-
-
-def test_compare_models_extremes():
-    rep = compare_models(K2, 6, 1.0, 50, seed=0)
-    assert rep["pr_gnp"] == 1.0 and rep["pr_gnm"] == 1.0
-    rep = compare_models(K2, 6, 0.0, 50, seed=0)
-    assert rep["pr_gnp"] == 0.0 and rep["pr_gnm"] == 0.0
-
-
-def test_compare_models_agreement():
-    # The fixed-size estimate at M = round(Np) differs from the G(n,p) one by
-    # a real finite-n gap, so G(n,p) is compared with the Bin(N,p) mixture of
-    # fixed-size hosts, whose factor probability equals it exactly
-    rep = compare_models(K2, 10, 0.5, 2000, seed=123)
-    mix, se_mix = binomial_mixture_estimate(K2, 10, 0.5, 2000, seed=123)
-    assert abs(rep["pr_gnp"] - mix) <= 4 * math.sqrt(rep["se_gnp"] ** 2 + se_mix**2)
-
-
-def test_compare_models_sweep():
-    rep = compare_models(K2, 8, 0.4, 100, seed=1, sweep=True)
-    assert {row["m_edges"] for row in rep["sweep"]} >= {round(total_edges(2, 8) * 0.4)}
-
-
-def test_compare_models_validation():
-    with pytest.raises(InputError):
-        compare_models(complete_pattern(3), 7, 0.5, 10, seed=0)

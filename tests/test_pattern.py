@@ -7,11 +7,11 @@ from hypothesis import given
 from conftest import graph_patterns
 from oracles import all_subgraph_profile, automorphisms_bruteforce
 
+from hfactor.embed import automorphism_count
 from hfactor.errors import InputError
 from hfactor.host import parse_host
 from hfactor.pattern import (
     Balance,
-    automorphism_count,
     complete_pattern,
     cycle_pattern,
     density,

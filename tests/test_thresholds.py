@@ -2,13 +2,16 @@ import math
 
 import pytest
 
+from oracles import binomial_mixture_estimate
+
 from hfactor import thresholds
 from hfactor.errors import InputError
 from hfactor.factor import has_factor
-from hfactor.host import complete_host, host_from_edges, sample_gnp
+from hfactor.host import complete_host, host_from_edges, sample_gnp, total_edges
 from hfactor.pattern import complete_pattern, pattern_from_edges, single_edge_pattern
 from hfactor.rng import derive_seed
 from hfactor.thresholds import (
+    compare_models,
     coverage_check,
     formula_threshold,
     role_coverage_check,
@@ -157,3 +160,29 @@ def test_scan_golden(prop, v):
         assert est.p_half == p_half
         assert [pr["estimate"] for pr in est.probes] == probe_estimates
         assert est.chain_violations == 0
+
+
+def test_compare_models_extremes():
+    rep = compare_models(K2, 6, 1.0, 50, seed=0)
+    assert rep["pr_gnp"] == 1.0 and rep["pr_gnm"] == 1.0
+    rep = compare_models(K2, 6, 0.0, 50, seed=0)
+    assert rep["pr_gnp"] == 0.0 and rep["pr_gnm"] == 0.0
+
+
+def test_compare_models_agreement():
+    # The fixed-size estimate at M = round(Np) differs from the G(n,p) one by
+    # a real finite-n gap, so G(n,p) is compared with the Bin(N,p) mixture of
+    # fixed-size hosts, whose factor probability equals it exactly
+    rep = compare_models(K2, 10, 0.5, 2000, seed=123)
+    mix, se_mix = binomial_mixture_estimate(K2, 10, 0.5, 2000, seed=123)
+    assert abs(rep["pr_gnp"] - mix) <= 4 * math.sqrt(rep["se_gnp"] ** 2 + se_mix**2)
+
+
+def test_compare_models_sweep():
+    rep = compare_models(K2, 8, 0.4, 100, seed=1, sweep=True)
+    assert {row["m_edges"] for row in rep["sweep"]} >= {round(total_edges(2, 8) * 0.4)}
+
+
+def test_compare_models_validation():
+    with pytest.raises(InputError):
+        compare_models(complete_pattern(3), 7, 0.5, 10, seed=0)
