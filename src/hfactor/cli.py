@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -19,9 +20,12 @@ from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 
-from . import embed, entropy, factor, host, pattern, polynomial, process, thresholds
+from . import pattern
 from .errors import InputError, InvariantError
-from .rng import derive_seed
+
+# The other layers (embed, entropy, factor, host, polynomial, process, rng,
+# thresholds) become globals of this module when run() imports the ones a
+# command names in _COMMANDS, so a command loads only the layers it runs.
 
 
 def _fmt_float(x: float) -> str:
@@ -204,7 +208,7 @@ def _battery_hosts(p, cfg: argparse.Namespace):
     hosts = []
     attempt = 0
     while len(hosts) < cfg.trials and attempt < 200 * cfg.trials:
-        g = host.sample_gnp(p.k, n, prob, derive_seed(cfg.seed, attempt))
+        g = host.sample_gnp(p.k, n, prob, rng.derive_seed(cfg.seed, attempt))
         attempt += 1
         if factor.has_factor(p, g):
             hosts.append(g)
@@ -322,18 +326,20 @@ def _cmd_regularity(cfg: argparse.Namespace) -> None:
     )
 
 
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "count": _cmd_count,
-    "scan": _cmd_scan,
-    "trace": _cmd_trace,
-    "martingale-check": _cmd_martingale_check,
-    "shearer": _cmd_shearer,
-    "window": _cmd_window,
-    "weight-lemma": _cmd_weight_lemma,
-    "poly": _cmd_poly,
-    "models": _cmd_models,
-    "regularity": _cmd_regularity,
+# each command's handler and the layers it calls, which run() imports before
+# the handler reads its pattern
+_COMMANDS = {
+    "analyze": (_cmd_analyze, ("embed",)),
+    "count": (_cmd_count, ("host", "factor")),
+    "scan": (_cmd_scan, ("thresholds",)),
+    "trace": (_cmd_trace, ("process",)),
+    "martingale-check": (_cmd_martingale_check, ("host", "factor", "process", "rng")),
+    "shearer": (_cmd_shearer, ("host", "factor", "entropy", "rng")),
+    "window": (_cmd_window, ("entropy",)),
+    "weight-lemma": (_cmd_weight_lemma, ("entropy",)),
+    "poly": (_cmd_poly, ("embed", "polynomial")),
+    "models": (_cmd_models, ("thresholds",)),
+    "regularity": (_cmd_regularity, ("host", "polynomial")),
 }
 
 
@@ -362,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hfactor",
         description="Pattern-factor counting, deletion traces, and threshold experiments.",
     )
-    parser.add_argument("command", choices=_DISPATCH)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", type=_path, help="JSON file whose keys are flag names; flags win")
     parser.add_argument("--pattern", type=_path)
     parser.add_argument("--host", type=_path)
@@ -379,9 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--B", type=float, default=1.0)
     parser.add_argument("--v", type=int)
     parser.add_argument("--target", type=float, default=0.5)
-    parser.add_argument("--property", choices=thresholds.PROPERTIES, default="factor")
+    # the scan and the hypothesis check reject an unknown property or theorem
+    parser.add_argument("--property", default="factor")
     parser.add_argument("--mode", choices=["profile", "check", "trial"], default="profile")
-    parser.add_argument("--theorem", choices=polynomial.THEOREMS, default="relative-low-order")
+    parser.add_argument("--theorem", default="relative-low-order")
     parser.add_argument("--collapse", action="store_true")
     parser.add_argument("--anchor-role", type=int)
     parser.add_argument("--anchor-vertex", type=int)
@@ -429,7 +436,10 @@ def config_from_args(argv) -> argparse.Namespace:
 
 
 def run(cfg: argparse.Namespace) -> int:
-    _DISPATCH[cfg.command](cfg)
+    handler, layers = _COMMANDS[cfg.command]
+    for name in layers:
+        globals()[name] = importlib.import_module(f".{name}", __package__)
+    handler(cfg)
     return 0
 
 

@@ -213,19 +213,8 @@ def role_images(pattern: PatternGraph, g: HostGraph) -> list[set[int]]:
     return realized
 
 
-def copy_degree(pattern: PatternGraph, g: HostGraph, x: int) -> int:
-    """Number of labeled copies whose image contains host vertex x."""
-    if not 0 <= x < g.n:
-        raise InputError(f"vertex {x} out of range")
-    # x is the image of exactly one pattern vertex per copy, so roles add up
-    return sum(
-        constrained_count(pattern, g, ConstraintSpec(((r, x),), pattern.edges))
-        for r in range(pattern.v)
-    )
-
-
 def copy_degrees(pattern: PatternGraph, g: HostGraph) -> list[int]:
-    """copy_degree for every host vertex in one pass."""
+    """For every host vertex x, the number of labeled copies whose image contains x."""
     return block_degrees(g.n, host_blocks(pattern, g))
 
 
@@ -291,7 +280,7 @@ def _cliques(adj, size: int, cand: int, prefix: tuple[int, ...]):
 
 
 def expected_copy_degree(pattern: PatternGraph, n: int, p: float) -> float:
-    """v * (n-1)(n-2)...(n-v+1) * p^m, the independent-edge expectation of copy_degree."""
+    """v * (n-1)(n-2)...(n-v+1) * p^m, the independent-edge expectation of a copy degree."""
     if n < pattern.v:
         raise InputError(f"need n >= {pattern.v}")
     return pattern.v * math.perm(n - 1, pattern.v - 1) * p**pattern.m

@@ -17,7 +17,7 @@ from .errors import InputError
 from .factor import check_cap, counting_cap, has_factor
 from .host import HostGraph, check_sampling_size, sample_gnm, sample_gnp, total_edges
 from .parallel import pool_scope, run_trials
-from .pattern import PatternGraph, check_divisible, density_profile
+from .pattern import DensityReport, PatternGraph, check_divisible, density_profile
 from .rng import derive_seed
 
 PROPERTIES = ("factor", "coverage", "role")
@@ -40,17 +40,19 @@ class ThresholdEstimate:
     chain_violations: int
 
 
-def formula_threshold(pattern: PatternGraph, n: int) -> dict:
+def formula_threshold(pattern: PatternGraph, n: int, profile: DensityReport | None = None) -> dict:
     """Closed-form threshold scales at a concrete n.
 
     predicted: n^(-1/max_density) * (log n)^(1/critical_edge_count) when every
     vertex attains the global max local density, else n^(-1/max_density).
     general_lower_bound: n^(-1/max_density) always.  strictly_balanced_value:
     n^(-1/density) * (log n)^(1/m) for strictly balanced patterns, else None.
+    A caller evaluating several n passes ``profile``, the pattern's
+    ``density_profile``, to compute it once.
     """
     if n < pattern.v:
         raise InputError(f"need n >= {pattern.v}")
-    prof = density_profile(pattern)
+    prof = profile if profile is not None else density_profile(pattern)
     d_star = prof.max_density
     uniform = all(local == d_star for local, _ in prof.per_vertex.values())
     base = n ** (-1.0 / float(d_star))
@@ -128,6 +130,7 @@ def threshold_scan(
     if property_name not in PROPERTIES:
         raise InputError(f"unknown property {property_name!r}; choose from {PROPERTIES}")
     n_list = list(n_list)
+    profile = density_profile(pattern)
     formulas = []
     for n in n_list:  # every n is checked before any host is sampled
         if property_name in ("factor", "role"):
@@ -135,7 +138,7 @@ def threshold_scan(
         if property_name == "factor":
             check_cap(pattern, n)
         check_sampling_size(n, pattern.k)
-        formulas.append(formula_threshold(pattern, n)["predicted"])
+        formulas.append(formula_threshold(pattern, n, profile)["predicted"])
     estimates = []
     for n_index, (n, formula) in enumerate(zip(n_list, formulas)):
         lo, hi = 0.0, 1.0

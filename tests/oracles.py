@@ -8,7 +8,9 @@ reference, ``binomial_mixture_estimate``, is built from the fixed-size model
 alone, so it checks the independent-edge model through the identity that
 couples the two.  ``unrank_edge`` and the two ``*_unranked`` samplers are
 the samplers as first written, unranking each kept index on its own; the
-library's rank walk must give the same hosts.
+library's rank walk must give the same hosts.  ``copy_degree`` counts
+through ``constrained_count`` with one role pinned, a path apart from the
+blocks that ``copy_degrees`` sums.
 """
 
 import itertools
@@ -17,6 +19,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+from hfactor.embed import ConstraintSpec, constrained_count
 from hfactor.factor import has_factor
 from hfactor.host import HostGraph, complete_host, host_from_edges, sample_gnm, total_edges
 from hfactor.pattern import PatternGraph
@@ -109,6 +112,17 @@ def injection_copies(p: PatternGraph, g: HostGraph):
         if all(frozenset(perm[x] for x in e) in edges for e in p.edges):
             out.append(perm)
     return out
+
+
+def copy_degree(p: PatternGraph, g: HostGraph, x: int) -> int:
+    """Labeled copies whose image contains x, as one pinned count per role.
+
+    The oracle for ``copy_degrees``, which sums over ``host_blocks`` instead.
+    """
+    # x is the image of exactly one pattern vertex per copy, so roles add up
+    return sum(
+        constrained_count(p, g, ConstraintSpec(((r, x),), p.edges)) for r in range(p.v)
+    )
 
 
 def block_embeddings(p: PatternGraph, g: HostGraph, block) -> int:

@@ -295,7 +295,7 @@ def test_exit_code_invariant_failure(monkeypatch, capsys, k2_file):
     def boom(cfg):
         raise InvariantError("forced")
 
-    monkeypatch.setitem(cli_mod._DISPATCH, "analyze", boom)
+    monkeypatch.setitem(cli_mod._COMMANDS, "analyze", (boom, ()))
     code, _, err = run_cli(["analyze", "--pattern", k2_file], capsys)
     assert code == 2
     assert "invariant" in err
@@ -486,6 +486,22 @@ def test_unused_size_flag_is_an_error(args, message, k2_file, p6_file, capsys):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# the parser leaves these names to the layer that reads them, which lists the choices
+@pytest.mark.parametrize(
+    "args, message",
+    [(["scan", "--n-list", "4", "--trials", "2", "--property", "bogus"], "unknown property 'bogus'"),
+     (["poly", "--n", "6", "--p", "0.5", "--mode", "check", "--theorem", "bogus"],
+      "unknown theorem 'bogus'")],
+    ids=["scan-property", "poly-theorem"],
+)
+def test_unknown_choice_is_an_error(args, message, k2_file, capsys):
+    code, out, err = run_cli([args[0], "--pattern", k2_file, *args[1:], "--workers", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}; choose from (")
+    assert err.count("\n") == 1
 
 
 def test_host_file_with_matching_n(k2_file, p6_file, capsys):

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 
 from conftest import graph_hosts, graph_patterns
-from oracles import block_embeddings, injection_copies
+from oracles import block_embeddings, copy_degree, injection_copies
 
 from hfactor.embed import (
     ConstraintSpec,
     constrained_count,
-    copy_degree,
     copy_degrees,
     degree_regularity,
     enumerate_copies,

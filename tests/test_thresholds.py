@@ -123,6 +123,17 @@ def test_scan_checks_every_n_before_sampling(monkeypatch):
     assert calls == []
 
 
+def test_scan_profiles_the_pattern_once(monkeypatch):
+    profiles = []
+    density_profile = thresholds.density_profile
+    monkeypatch.setattr(thresholds, "density_profile",
+                        lambda p: profiles.append(p) or density_profile(p))
+    estimates = threshold_scan(K2, [4, 6, 8], trials=2, seed=0)
+    assert profiles == [K2]
+    assert [e.formula_value for e in estimates] == [
+        formula_threshold(K2, n)["predicted"] for n in (4, 6, 8)]
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
