@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -82,13 +83,22 @@ def check_divisible(p: PatternGraph, n: int) -> None:
 def normalized_edges(k: int, size: int, edges) -> tuple[tuple[int, ...], ...]:
     """The edges as a sorted tuple of sorted vertex tuples, validated.
 
-    Every edge must be a k-subset of 0..size-1 (k at least 2), and no edge
-    may repeat.  Patterns and hosts both normalize their edges here.
+    Every edge must be a k-subset of the int vertices 0..size-1 (k at least 2),
+    no edge may repeat, and edges already in that form are returned as given.
     """
     if k < 2:
         raise InputError(f"edge arity must be at least 2, got {k}")
+    if ({*map(type, edges := tuple(edges))} <= {tuple} and {*map(len, edges)} <= {k}
+            and {*map(type, flat := [*itertools.chain.from_iterable(edges)])} <= {int}
+            and (all([0 <= e[0] < e[1] < size for e in edges]) if k == 2 else
+                 min(flat[::k], default=0) >= 0 and max(flat[k - 1::k], default=0) < size
+                 and all([all(map(operator.lt, flat[j::k], flat[j + 1::k])) for j in range(k - 1)]))
+            and all(map(operator.lt, edges, edges[1:]))):
+        return edges
     normalized = []
     for e in edges:
+        if not hasattr(e, "__iter__") or {*map(type, e := tuple(e))} - {int}:
+            raise InputError(f"edge {e!r} is not a collection of int vertices")
         e = tuple(sorted(e))
         if len(e) != k or len(set(e)) != k:
             raise InputError(f"edge {e} is not a {k}-subset")

@@ -10,7 +10,9 @@ couples the two.  ``unrank_edge`` and the two ``*_unranked`` samplers are
 the samplers as first written, unranking each kept index on its own; the
 library's rank walk must give the same hosts.  ``copy_degree`` counts
 through ``constrained_count`` with one role pinned, a path apart from the
-blocks that ``copy_degrees`` sums.
+blocks that ``copy_degrees`` sums.  ``sort_then_check_edges`` is the edge
+validator as first written, sorting and checking every edge; the library
+returns edges already in that form after one scan, with the same result.
 """
 
 import itertools
@@ -20,10 +22,33 @@ from fractions import Fraction
 from functools import lru_cache
 
 from hfactor.embed import ConstraintSpec, constrained_count
+from hfactor.errors import InputError
 from hfactor.factor import has_factor
 from hfactor.host import HostGraph, complete_host, host_from_edges, sample_gnm, total_edges
 from hfactor.pattern import PatternGraph
 from hfactor.rng import derive_seed, rng_for
+
+
+def sort_then_check_edges(k: int, size: int, edges) -> tuple[tuple[int, ...], ...]:
+    """``normalized_edges`` as first written: sort each edge, check it, sort, find repeats.
+
+    It has no vertex type check; int vertices are all it is compared on.
+    """
+    if k < 2:
+        raise InputError(f"edge arity must be at least 2, got {k}")
+    normalized = []
+    for e in edges:
+        e = tuple(sorted(e))
+        if len(e) != k or len(set(e)) != k:
+            raise InputError(f"edge {e} is not a {k}-subset")
+        if e[0] < 0 or e[-1] >= size:
+            raise InputError(f"edge {e} has a vertex outside 0..{size - 1}")
+        normalized.append(e)
+    normalized.sort()
+    for a, b in zip(normalized, normalized[1:]):
+        if a == b:
+            raise InputError(f"duplicate edge {a}")
+    return tuple(normalized)
 
 
 def unrank_edge(index: int, n: int, k: int) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from oracles import (
     sample_gnm_unranked,
     sample_gnp_unranked,
+    sort_then_check_edges,
     unrank_edge,
 )
 
@@ -21,6 +22,7 @@ from hfactor.host import (
     sample_gnp,
     total_edges,
 )
+from hfactor.pattern import normalized_edges
 from hfactor.rng import derive_seed
 
 
@@ -173,3 +175,23 @@ def test_without_edge():
     assert h.m == 5 and not h.has_edge((0, 1))
     with pytest.raises(InputError):
         h.without_edge((0, 1))
+
+
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=6),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_built_hosts_are_already_normal(k, extra, p, seed):
+    # what the samplers, complete_host and without_edge build, the oracle leaves
+    # as it is, and the validator keeps as given
+    n = k + extra
+    g = complete_host(k, n)
+    hosts = [sample_gnp(k, n, p, seed), sample_gnm(k, n, round(total_edges(k, n) * p), seed), g]
+    for e in random_ordering(k, n, seed)[:5]:
+        g = g.without_edge(e)
+        hosts.append(g)
+    for h in hosts:
+        assert h.edges == sort_then_check_edges(k, n, h.edges)
+        assert normalized_edges(k, n, h.edges) is h.edges

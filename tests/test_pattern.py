@@ -1,21 +1,23 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from conftest import graph_patterns
-from oracles import all_subgraph_profile, automorphisms_bruteforce
+from oracles import all_subgraph_profile, automorphisms_bruteforce, sort_then_check_edges
 
 from hfactor.embed import automorphism_count
 from hfactor.errors import InputError
-from hfactor.host import parse_host
+from hfactor.host import host_from_edges, parse_host
 from hfactor.pattern import (
     Balance,
     complete_pattern,
     cycle_pattern,
     density,
     density_profile,
+    normalized_edges,
     parse_pattern,
     path_pattern,
     pattern_from_edges,
@@ -74,6 +76,76 @@ def test_pattern_and_host_read_the_same_edges(text):
     assert (p.k, p.v) == (g.k, g.n)
     assert p.edges == g.edges
     assert p.edges == tuple(sorted(p.edges)) and all(list(e) == sorted(e) for e in p.edges)
+
+
+EDGE_EDITS = ["shuffle", "reverse", "list", "duplicate", "repeat", "low", "high", "arity"]
+
+
+@st.composite
+def edge_lists(draw):
+    """(k, size, edges): a canonical edge list, then a few edits that may break it.
+
+    "low" and "high" put -1 or size into the first or last edge without breaking
+    the order, so only a range test can reject them.
+    """
+    k = draw(st.sampled_from([2, 3, 4]))
+    size = draw(st.integers(min_value=k, max_value=7))
+    pool = list(itertools.combinations(range(size), k))
+    edges = sorted(draw(st.lists(st.sampled_from(pool), max_size=12, unique=True)))
+    for edit in draw(st.lists(st.sampled_from(EDGE_EDITS), max_size=3)) if edges else []:
+        i = draw(st.integers(min_value=0, max_value=len(edges) - 1))
+        e = edges[i]
+        if edit == "shuffle":
+            edges = list(draw(st.permutations(edges)))
+        elif edit == "reverse":
+            edges[i] = tuple(reversed(e))
+        elif edit == "list":
+            edges[i] = list(e)
+        elif edit == "duplicate":
+            edges.insert(i, e)
+        elif edit == "repeat":
+            edges[i] = e[:1] + e[:-1]
+        elif edit == "low":
+            edges[0] = (-1, *edges[0][1:])
+        elif edit == "high":
+            edges[-1] = (*edges[-1][:-1], size)
+        else:
+            edges[i] = e[:-1]
+    wrap = draw(st.sampled_from([list, tuple, iter]))
+    return k, size, wrap(edges), list(edges)
+
+
+def _outcome(fn, k, size, edges):
+    try:
+        return fn(k, size, edges)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@settings(max_examples=400)
+@given(edge_lists())
+def test_normalized_edges_matches_sort_then_check(case):
+    k, size, edges, copy = case
+    assert _outcome(normalized_edges, k, size, edges) == _outcome(sort_then_check_edges, k, size, copy)
+
+
+@pytest.mark.parametrize(
+    "edges, bad",
+    [
+        ([(0, 1.5)], (0, 1.5)),  # in canonical order, so the one-scan test sees it first
+        ([(0, True)], (0, True)),
+        ([(1, 2), (1.0, 0)], (1.0, 0)),
+        ([(2, 1), (False, 1)], (False, 1)),
+        ([(0, "a")], (0, "a")),
+        ([(0, 1), 5], 5),
+        ([None], None),
+    ],
+)
+def test_edges_need_int_vertices(edges, bad):
+    for build in (normalized_edges, pattern_from_edges, host_from_edges):
+        with pytest.raises(InputError) as err:
+            build(2, 3, edges)
+        assert str(err.value) == f"edge {bad!r} is not a collection of int vertices"
 
 
 def test_pattern_cap():
