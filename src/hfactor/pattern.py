@@ -89,9 +89,9 @@ def normalized_edges(k: int, size: int, edges) -> tuple[tuple[int, ...], ...]:
     if k < 2:
         raise InputError(f"edge arity must be at least 2, got {k}")
     if ({*map(type, edges := tuple(edges))} <= {tuple} and {*map(len, edges)} <= {k}
-            and {*map(type, flat := [*itertools.chain.from_iterable(edges)])} <= {int}
-            and (all([0 <= e[0] < e[1] < size for e in edges]) if k == 2 else
-                 min(flat[::k], default=0) >= 0 and max(flat[k - 1::k], default=0) < size
+            and {*map(type, itertools.chain.from_iterable(edges))} <= {int}
+            and (all([0 <= e[0] < e[1] < size for e in edges]) if k == 2 else not edges or
+                 0 <= min(flat := [*itertools.chain.from_iterable(edges)]) and max(flat) < size
                  and all([all(map(operator.lt, flat[j::k], flat[j + 1::k])) for j in range(k - 1)]))
             and all(map(operator.lt, edges, edges[1:]))):
         return edges
