@@ -67,7 +67,8 @@ class FactorCounter:
     vertices selected by mask into blocks, weighted by multiplicity.  Every
     pattern kind keeps one table of copy groups per block (block mask -> {host
     edges a copy uses: copies}), built on first use with the per-edge index;
-    without_edge carries both, and the copy degrees.
+    without_edge carries both, the copy degrees and a copy of the weight bounds
+    (block mask -> upper bound on its weight): a deletion only removes copies.
     """
 
     def __init__(self, pattern: PatternGraph, g: HostGraph, *, _carried=None):
@@ -87,8 +88,8 @@ class FactorCounter:
                     m |= 1 << x
                 by_min[block[0]].append((m, emb))
             # exact counts, and 0 for every mask exists() found no factor on
-            _carried = (by_min, None, None, None, {0: 1})
-        self._blocks_by_min, self._copies, self._index, self._degrees, self._memo = _carried
+            _carried = (by_min, None, None, None, {0: 1}, {})
+        self._blocks_by_min, self._copies, self._index, self._degrees, self._memo, self._bounds = _carried
         # host_blocks order is lexicographic, so by lowest vertex first
         self._blocks = list(itertools.chain.from_iterable(self._blocks_by_min))
 
@@ -167,7 +168,7 @@ class FactorCounter:
             else:
                 memo[m] = c
         memo.pop(self.full_mask, None)  # recounted from the carried blocks: run_process checks it
-        carried = (by_min, copies, index, degrees, memo)
+        carried = (by_min, copies, index, degrees, memo, dict(self._bounds))
         return FactorCounter(self.pattern, self.host.without_edge(key), _carried=carried)
 
     def block_items(self):
@@ -178,6 +179,22 @@ class FactorCounter:
         """Factors of the host minus each block, in block_items order."""
         full = self.full_mask
         return [self.count(full & ~bmask) for bmask, _ in self._blocks]
+
+    def max_block_weight(self) -> int:
+        """max(block_weights()): memo weights, then the rest by bound until none beats the max."""
+        rest = max(self.host.n - self.pattern.v, 0)  # unbounded: the complete count on n - v vertices
+        default = math.factorial(rest) // math.factorial(rest // self.pattern.v)
+        full, bounds, best = self.full_mask, self._bounds, 0
+        for bmask, _ in self._blocks:  # exact and <= best: the search below stops before these
+            if (w := self._memo.get(full & ~bmask)) is not None:
+                bounds[bmask] = w
+                best = max(best, w)
+        for bound, bmask in sorted(((bounds.get(b, default), b) for b, _ in self._blocks), reverse=True):
+            if bound <= best:
+                break
+            bounds[bmask] = w = self.count(full & ~bmask)
+            best = max(best, w)
+        return best
 
     def copy_weights(self, copies) -> list[int]:
         """w(K) = factors of the host minus V(K) per copy K: the weight of the block on V(K)."""
@@ -266,7 +283,7 @@ def flatness(counter: FactorCounter) -> Fraction:
     """
     copies = sum(emb for _, emb in counter.block_items())
     factors = counter.host.n // counter.pattern.v * counter.count()
-    return Fraction(max(counter.block_weights()) * copies, factors)
+    return Fraction(counter.max_block_weight() * copies, factors)
 
 
 def count_factors(pattern: PatternGraph, g: HostGraph) -> FactorCount:

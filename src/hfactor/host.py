@@ -8,6 +8,7 @@ models, which needs factor existence, is in ``thresholds``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,13 +62,20 @@ class HostGraph:
         return tuple(adj)
 
     def has_edge(self, e) -> bool:
-        return frozenset(e) in self.edge_set
+        """Whether e, its vertices in any order, is an edge: a binary search of the sorted edges."""
+        try:
+            key = tuple(sorted(e))
+            i = bisect.bisect_left(self.edges, key)
+        except TypeError:  # vertices that do not compare with ints are in no edge
+            return False
+        return self.edges[i:i + 1] == (key,)
 
     def without_edge(self, e) -> "HostGraph":
         key = tuple(sorted(e))
         if not self.has_edge(key):
             raise InputError(f"edge {key} not present")
-        return HostGraph(self.k, self.n, tuple(x for x in self.edges if x != key))
+        i = bisect.bisect_left(self.edges, key)
+        return HostGraph(self.k, self.n, self.edges[:i] + self.edges[i + 1:])
 
 
 def host_from_edges(k: int, n: int, edges) -> HostGraph:

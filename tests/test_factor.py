@@ -382,6 +382,7 @@ def _carried_state(counter):
         {e: dict(uses) for e, uses in index.items()},
         counter.copy_vertex_degrees(),
         dict(counter._memo),
+        dict(counter._bounds),
     )
 
 
@@ -395,6 +396,7 @@ def test_without_edge_leaves_parent_unchanged(p, n):
     counter = FactorCounter(p, g)
     counter.count()
     counter.block_weights()
+    counter.max_block_weight()  # records every weight as its block's bound
     before = _carried_state(counter)
     children = [counter.without_edge(e) for e in g.edges]
     assert _carried_state(counter) == before
@@ -402,7 +404,81 @@ def test_without_edge_leaves_parent_unchanged(p, n):
     for child in children:
         child.count()
         child.copy_vertex_degrees()
+        child.max_block_weight()
     assert _carried_state(counter) == before
+
+
+# The deletion guard's bounded search for max_B count(full - B), carried with the
+# weight bounds along random deletion orders, against every block counted afresh.
+FLATNESS_CASES = [(K2, (6, 8)), (K3, (9,)), (C4, (8,)), (E3, (9,)), (TWO_TRIPLES, (8,))]
+
+
+@st.composite
+def deletion_walks(draw):
+    """A pattern, a complete or G(n, p) host with a factor-sized n, and a deletion order."""
+    p, sizes = draw(st.sampled_from(FLATNESS_CASES))
+    n, prob = draw(st.sampled_from(sizes)), draw(st.sampled_from([0.5, 0.8, 1.0]))
+    g = complete_host(p.k, n) if prob == 1.0 else sample_gnp(p.k, n, prob, draw(st.integers(0, 2**32)))
+    order = draw(st.permutations(g.edges))
+    return p, g, order[:8]
+
+
+def _check_flatness(counter):
+    """The counter's search against every block weight of a fresh counter on its host."""
+    fresh = FactorCounter(counter.pattern, counter.host)
+    top = max(fresh.block_weights(), default=0)
+    if factors := fresh.count():
+        copies = sum(emb for _, emb in fresh.block_items())
+        assert flatness(counter) == Fraction(top * copies, counter.host.n // counter.pattern.v * factors)
+    assert counter.max_block_weight() == top
+
+
+@given(deletion_walks(), st.data())
+def test_carried_flatness_matches_fresh_counter(walk, data):
+    p, g, order = walk
+    # the search on a counter that has counted nothing yet
+    assert FactorCounter(p, g).max_block_weight() == max(FactorCounter(p, g).block_weights(), default=0)
+    counter = FactorCounter(p, g)
+    _check_flatness(counter)
+    for e in order:
+        # two children of one counter, each with its own copy of the bounds: the one
+        # deleting other edges (and its children) reads and tightens its copy first
+        branch = counter
+        for f in data.draw(st.permutations([f for f in g.edges if f != e]), label="sibling")[:3]:
+            branch = branch.without_edge(f)
+            _check_flatness(branch)
+        child = counter.without_edge(e)
+        _check_flatness(child)
+        # the parent's search again, after its children ran
+        _check_flatness(counter)
+        counter, g = child, g.without_edge(e)
+
+
+@pytest.mark.parametrize(
+    "p, n", [(K2, 8), (K3, 9), (C4, 8), (E3, 9), (TWO_TRIPLES, 8), (EDGE_AND_VERTEX, 9)],
+    ids=["K2-8", "K3-9", "C4-8", "E3-9", "two-triples-8", "edge-and-vertex-9"],
+)
+def test_first_guard_on_complete_host_counts_no_block(p, n):
+    # every weight is the complete count on n - v vertices, the default bound, and
+    # count() already read the weights of the blocks at vertex 0
+    counter = FactorCounter(p, complete_host(p.k, n))
+    counter.count()
+    states = len(counter._memo)
+    assert flatness(counter) == 1
+    assert len(counter._memo) == states
+
+
+@pytest.mark.parametrize(
+    "p, g", [(K3, complete_host(2, 7)), (K3, sample_gnp(2, 10, 0.8, 3)), (K3, complete_host(2, 2)),
+             (C4, complete_host(2, 6)), (E3, complete_host(3, 5))],
+    ids=["K3-7", "K3-gnp-10", "K3-2", "C4-6", "E3-5"],
+)
+def test_max_block_weight_when_n_is_not_a_multiple_of_v(p, g):
+    counter = FactorCounter(p, g)
+    assert counter.max_block_weight() == max(counter.block_weights(), default=0) == 0
+    for e in g.edges[:3]:
+        counter = counter.without_edge(e)
+        assert counter.max_block_weight() == 0
 
 
 def _induced(g, mask):

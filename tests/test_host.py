@@ -177,6 +177,35 @@ def test_without_edge():
         h.without_edge((0, 1))
 
 
+@pytest.mark.parametrize("key", [
+    (0,), (0, 1, 2), (0, 1, 1), (), (0, 0), (1, 1), ("a", "b"), (0, "b"), ("0", "1"), ((0, 1), (2, 3)),
+    (None, 1), (0.5, 1), "01",
+])
+def test_has_edge_answers_false_for_keys_that_are_no_edge(key):
+    # wrong length, a repeated vertex, entries that are no vertex: False, not an error;
+    # (0, 1, 1) once matched the edge (0, 1) as a vertex set, and deleting it removed nothing
+    for g in (complete_host(2, 4), host_from_edges(2, 4, []), host_from_edges(2, 4, [(2, 3)])):
+        assert not g.has_edge(key)
+    assert not complete_host(3, 5).has_edge((1, 1, 2))
+    with pytest.raises((InputError, TypeError)):
+        complete_host(2, 4).without_edge(key)
+
+
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_has_edge_and_without_edge_match_the_edge_set(k, extra, p, seed):
+    n = k + extra
+    g = sample_gnp(k, n, p, seed)
+    for key in itertools.combinations(range(n), k):
+        assert g.has_edge(key) == g.has_edge(key[::-1]) == (frozenset(key) in g.edge_set)
+    for e in g.edges:
+        assert g.without_edge(e[::-1]).edges == tuple(x for x in g.edges if x != e)
+
+
 @given(
     st.integers(min_value=2, max_value=4),
     st.integers(min_value=0, max_value=6),
