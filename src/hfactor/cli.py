@@ -96,21 +96,14 @@ def _read_text(path: str) -> str:
 
 
 def _load_pattern(cfg: argparse.Namespace) -> pattern.PatternGraph:
-    return pattern.parse_pattern(_read_text(_need(cfg, "pattern")))
+    return pattern.parse_pattern(_read_text(cfg.pattern))
 
 
 def _load_host(cfg: argparse.Namespace) -> host.HostGraph:
-    g = host.parse_host(_read_text(_need(cfg, "host")))
+    g = host.parse_host(_read_text(cfg.host))
     if cfg.n is not None and cfg.n != g.n:
         raise InputError(f"--n {cfg.n} does not match the {g.n} vertices of --host")
     return g
-
-
-def _need(cfg: argparse.Namespace, name: str):
-    value = getattr(cfg, name)
-    if value is None:
-        raise InputError(f"this command needs --{name.replace('_', '-')}")
-    return value
 
 
 def _cmd_analyze(cfg: argparse.Namespace) -> None:
@@ -181,10 +174,8 @@ def _cmd_scan(cfg: argparse.Namespace) -> None:
 
 def _cmd_trace(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
-    trace = process.run_process(
-        p, _need(cfg, "n"), cfg.seed, t_max=cfg.t_max,
-        b_level=cfg.b_level, reg_eps=cfg.eps,
-    )
+    trace = process.run_process(p, cfg.n, cfg.seed, t_max=cfg.t_max,
+                                b_level=cfg.b_level, reg_eps=cfg.eps)
     header = ["i", "edge", "xi_num", "xi_den", "gamma_num", "gamma_den", "z",
               "x_partial", "log_factor_count", "margin", "guard_state"]
     rows = [
@@ -201,20 +192,19 @@ def _cmd_trace(cfg: argparse.Namespace) -> None:
 
 def _battery_hosts(p, cfg: argparse.Namespace):
     """Random hosts with at least one factor, resampled up to a fixed budget."""
-    n = _need(cfg, "n")
     if cfg.trials < 1:
         raise InputError("need at least one trial")
     prob = cfg.p if cfg.p is not None else 0.7
     hosts = []
     attempt = 0
     while len(hosts) < cfg.trials and attempt < 200 * cfg.trials:
-        g = host.sample_gnp(p.k, n, prob, rng.derive_seed(cfg.seed, attempt))
+        g = host.sample_gnp(p.k, cfg.n, prob, rng.derive_seed(cfg.seed, attempt))
         attempt += 1
         if factor.has_factor(p, g):
             hosts.append(g)
     if len(hosts) < cfg.trials:
         raise InputError(
-            f"could not find {cfg.trials} hosts with factors at n={n}, p={prob}"
+            f"could not find {cfg.trials} hosts with factors at n={cfg.n}, p={prob}"
         )
     return hosts
 
@@ -255,7 +245,7 @@ def _read_weight_csv(path: str) -> list[tuple[tuple[str, ...], float]]:
 
 
 def _cmd_window(cfg: argparse.Namespace) -> None:
-    rows = _read_weight_csv(_need(cfg, "weights"))
+    rows = _read_weight_csv(cfg.weights)
     family = entropy.WeightedFamily(
         ids=tuple("-".join(key) for key, _ in rows),
         weights=tuple(w for _, w in rows),
@@ -264,13 +254,12 @@ def _cmd_window(cfg: argparse.Namespace) -> None:
 
 
 def _cmd_weight_lemma(cfg: argparse.Namespace) -> None:
-    n, v, path = _need(cfg, "n"), _need(cfg, "v"), _need(cfg, "weights")
-    rows = _read_weight_csv(path)
+    rows = _read_weight_csv(cfg.weights)
     try:
         weights = {tuple(int(t) for t in key): w for key, w in rows}
     except ValueError:
-        raise InputError(f"vertex ids in {path} must be integers") from None
-    _emit(entropy.weight_lemma_check(n, v, weights, cfg.B), cfg)
+        raise InputError(f"vertex ids in {cfg.weights} must be integers") from None
+    _emit(entropy.weight_lemma_check(cfg.n, cfg.v, weights, cfg.B), cfg)
 
 
 def _poly_from_config(cfg: argparse.Namespace, p) -> polynomial.CopyPolynomial:
@@ -278,68 +267,56 @@ def _poly_from_config(cfg: argparse.Namespace, p) -> polynomial.CopyPolynomial:
     if cfg.anchor_role is not None or cfg.anchor_vertex is not None:
         if cfg.anchor_role is None or cfg.anchor_vertex is None:
             raise InputError("anchoring needs both --anchor-role and --anchor-vertex")
-        anchor = embed.ConstraintSpec(
-            ((cfg.anchor_role, cfg.anchor_vertex),), p.edges
-        )
-    return polynomial.CopyPolynomial(
-        pattern=p, n=_need(cfg, "n"), anchor=anchor, collapse=cfg.collapse
-    )
+        anchor = embed.ConstraintSpec(((cfg.anchor_role, cfg.anchor_vertex),), p.edges)
+    return polynomial.CopyPolynomial(pattern=p, n=cfg.n, anchor=anchor, collapse=cfg.collapse)
 
 
 def _cmd_poly(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
     f = _poly_from_config(cfg, p)
-    prob = _need(cfg, "p")
     if cfg.mode == "profile":
-        _emit(polynomial.derivative_profile(f, prob), cfg)
+        _emit(polynomial.derivative_profile(f, cfg.p), cfg)
     elif cfg.mode == "check":
-        _emit(polynomial.hypothesis_check(f, prob, cfg.eps, cfg.theorem), cfg)
+        _emit(polynomial.hypothesis_check(f, cfg.p, cfg.eps, cfg.theorem), cfg)
     else:  # trial
-        _emit(
-            polynomial.concentration_trial(
-                f, prob, cfg.trials, cfg.eps, cfg.seed, workers=cfg.workers
-            ),
-            cfg,
-        )
+        _emit(polynomial.concentration_trial(f, cfg.p, cfg.trials, cfg.eps, cfg.seed,
+                                             workers=cfg.workers), cfg)
 
 
 def _cmd_models(cfg: argparse.Namespace) -> None:
     p = _load_pattern(cfg)
-    _emit(
-        thresholds.compare_models(
-            p, _need(cfg, "n"), _need(cfg, "p"), cfg.trials, cfg.seed,
-            sweep=cfg.sweep, workers=cfg.workers,
-        ),
-        cfg,
-    )
+    _emit(thresholds.compare_models(p, cfg.n, cfg.p, cfg.trials, cfg.seed,
+                                    sweep=cfg.sweep, workers=cfg.workers), cfg)
 
 
 def _cmd_regularity(cfg: argparse.Namespace) -> None:
+    if cfg.host is None and cfg.n is None:
+        raise InputError("regularity needs --host or --n")
     p = _load_pattern(cfg)
     if cfg.host is not None:
         g = _load_host(cfg)
     else:
-        g = host.sample_gnp(p.k, _need(cfg, "n"), _need(cfg, "p"), cfg.seed)
-    _emit(
-        polynomial.regularity_report(p, g, _need(cfg, "p"), cfg.eps, cfg.beta, seed=cfg.seed),
-        cfg,
-    )
+        g = host.sample_gnp(p.k, cfg.n, cfg.p, cfg.seed)
+    _emit(polynomial.regularity_report(p, g, cfg.p, cfg.eps, cfg.beta, seed=cfg.seed), cfg)
 
 
-# each command's handler and the layers it calls, which run() imports before
-# the handler reads its pattern
+# each command's handler, the layers it calls (which run() imports before the
+# handler reads its pattern) and the flags it reads besides _SHARED, a required
+# one marked "!"
 _COMMANDS = {
-    "analyze": (_cmd_analyze, ("embed",)),
-    "count": (_cmd_count, ("host", "factor")),
-    "scan": (_cmd_scan, ("thresholds",)),
-    "trace": (_cmd_trace, ("process",)),
-    "martingale-check": (_cmd_martingale_check, ("host", "factor", "process", "rng")),
-    "shearer": (_cmd_shearer, ("host", "factor", "entropy", "rng")),
-    "window": (_cmd_window, ("entropy",)),
-    "weight-lemma": (_cmd_weight_lemma, ("entropy",)),
-    "poly": (_cmd_poly, ("embed", "polynomial")),
-    "models": (_cmd_models, ("thresholds",)),
-    "regularity": (_cmd_regularity, ("host", "polynomial")),
+    "analyze": (_cmd_analyze, ("embed",), "pattern!"),
+    "count": (_cmd_count, ("host", "factor"), "pattern! host n p M seed"),
+    "scan": (_cmd_scan, ("thresholds",), "pattern! n n-list trials seed target property"),
+    "trace": (_cmd_trace, ("process",), "pattern! n! seed t-max eps b-level"),
+    "martingale-check": (_cmd_martingale_check, ("host", "factor", "process", "rng"),
+                         "pattern! n! p trials seed"),
+    "shearer": (_cmd_shearer, ("host", "factor", "entropy", "rng"), "pattern! n! p trials seed"),
+    "window": (_cmd_window, ("entropy",), "weights!"),
+    "weight-lemma": (_cmd_weight_lemma, ("entropy",), "weights! n! v! B"),
+    "poly": (_cmd_poly, ("embed", "polynomial"),
+             "pattern! n! p! mode eps theorem trials seed anchor-role anchor-vertex collapse"),
+    "models": (_cmd_models, ("thresholds",), "pattern! n! p! trials seed sweep"),
+    "regularity": (_cmd_regularity, ("host", "polynomial"), "pattern! host n p! eps beta seed"),
 }
 
 
@@ -363,80 +340,101 @@ def _path(text: str) -> str:
     return text
 
 
+# every flag of every command: name -> add_argument keywords
+_FLAGS = {
+    "config": dict(type=_path, help="JSON file whose keys are flag names; flags win"),
+    "workers": dict(type=int, default=max(1, os.cpu_count() or 1)),
+    "out": dict(type=_path),
+    "format": dict(choices=["csv", "json"], default="json"),
+    "pattern": dict(type=_path),
+    "host": dict(type=_path),
+    "weights": dict(type=_path),
+    "n": dict(type=int),
+    "n-list": dict(type=_int_list, help="comma-separated host sizes"),
+    "p": dict(type=float),
+    "M": dict(type=int),
+    "trials": dict(type=int, default=200),
+    "seed": dict(type=int, default=0),
+    "t-max": dict(type=int),
+    "eps": dict(type=float, default=0.5),
+    "beta": dict(type=float, default=10.0),
+    "B": dict(type=float, default=1.0),
+    "v": dict(type=int),
+    "target": dict(type=float, default=0.5),
+    # the scan and the hypothesis check reject an unknown property or theorem
+    "property": dict(default="factor"),
+    "mode": dict(choices=["profile", "check", "trial"], default="profile"),
+    "theorem": dict(default="relative-low-order"),
+    "collapse": dict(action="store_true"),
+    "anchor-role": dict(type=int),
+    "anchor-vertex": dict(type=int),
+    "b-level": dict(type=float, default=10.0),
+    "sweep": dict(action="store_true"),
+}
+_SHARED = ("config", "workers", "out", "format")  # --workers too: no output depends on it
+
+
+def _flags(command: str) -> dict[str, bool]:
+    """The flags a command reads, shared ones first: name -> required."""
+    return {f.rstrip("!"): f.endswith("!") for f in (*_SHARED, *_COMMANDS[command][2].split())}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hfactor",
         description="Pattern-factor counting, deletion traces, and threshold experiments.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", type=_path, help="JSON file whose keys are flag names; flags win")
-    parser.add_argument("--pattern", type=_path)
-    parser.add_argument("--host", type=_path)
-    parser.add_argument("--weights", type=_path)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--n-list", type=_int_list, help="comma-separated host sizes")
-    parser.add_argument("--p", type=float)
-    parser.add_argument("--M", type=int)
-    parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--t-max", type=int)
-    parser.add_argument("--eps", type=float, default=0.5)
-    parser.add_argument("--beta", type=float, default=10.0)
-    parser.add_argument("--B", type=float, default=1.0)
-    parser.add_argument("--v", type=int)
-    parser.add_argument("--target", type=float, default=0.5)
-    # the scan and the hypothesis check reject an unknown property or theorem
-    parser.add_argument("--property", default="factor")
-    parser.add_argument("--mode", choices=["profile", "check", "trial"], default="profile")
-    parser.add_argument("--theorem", default="relative-low-order")
-    parser.add_argument("--collapse", action="store_true")
-    parser.add_argument("--anchor-role", type=int)
-    parser.add_argument("--anchor-vertex", type=int)
-    parser.add_argument("--b-level", type=float, default=10.0)
-    parser.add_argument("--sweep", action="store_true")
-    parser.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
-    parser.add_argument("--out", type=_path)
-    parser.add_argument("--format", choices=["csv", "json"], default="json")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command in _COMMANDS:
+        # no abbreviations: a flag of another command must not pass as a prefix of one here
+        sub = commands.add_parser(command, allow_abbrev=False)
+        for name, required in _flags(command).items():
+            sub.add_argument(f"--{name}", required=required, **_FLAGS[name])
     return parser
 
 
-def _config_flags(parser: argparse.ArgumentParser, path: str) -> list[str]:
-    """The config file's keys as flags: ``--key=value``, lists comma-joined, true bare."""
+def _config_flags(path: str, command: str) -> list[str]:
+    """The config keys the command reads as flags: ``--key=value``, lists comma-joined, true bare.
+
+    A key that only other commands read is skipped, so one file can serve several commands.
+    """
     try:
         raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError("config file must hold a JSON object")
-    known = set(parser._option_string_actions) - {"--config", "-h", "--help"}
+    reads = _flags(command)
     flags = []
     for key, value in raw.items():
-        flag = "--" + key.replace("_", "-")
+        name = key.replace("_", "-")
         # the command is positional only, so a file cannot replace it
-        if flag not in known:
+        if name not in _FLAGS or name == "config":
             raise InputError(f"unknown config key {key!r}")
-        if value is True:
-            flags.append(flag)
-        elif isinstance(value, list):
-            flags.append(f"{flag}={','.join(map(str, value))}")
-        else:
-            flags.append(f"{flag}={value}")
+        if name not in reads:
+            continue
+        if isinstance(value, list):
+            value = ",".join(map(str, value))
+        flags.append(f"--{name}" if value is True else f"--{name}={value}")
     return flags
 
 
 def config_from_args(argv) -> argparse.Namespace:
-    parser = build_parser()
-    cfg = parser.parse_args(argv)
-    if cfg.config is not None:
-        # file values come first, so the command line's flags win
-        cfg = parser.parse_args(_config_flags(parser, cfg.config) + list(argv))
+    argv = list(argv)
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", **_FLAGS["config"])
+    path = pre.parse_known_args(argv)[0].config
+    if path is not None and argv[0] in _COMMANDS:  # else the full parse rejects argv[0]
+        # after the command name and ahead of the command line's flags, so those win
+        argv[1:1] = _config_flags(path, argv[0])
+    cfg = build_parser().parse_args(argv)
     if cfg.workers < 1:
         raise InputError("workers must be at least 1")
     return cfg
 
 
 def run(cfg: argparse.Namespace) -> int:
-    handler, layers = _COMMANDS[cfg.command]
+    handler, layers, _ = _COMMANDS[cfg.command]
     for name in layers:
         globals()[name] = importlib.import_module(f".{name}", __package__)
     handler(cfg)

@@ -226,17 +226,21 @@ def degree_regularity(pattern: PatternGraph, g: HostGraph, p: float, eps: float)
     """
     if not eps > 0:
         raise InputError("eps must be positive")
-    degs = copy_degrees(pattern, g)
     expected = expected_copy_degree(pattern, g.n, p)
-    if expected > 0:
-        max_dev = max(abs(d - expected) for d in degs) / expected
-    else:
-        max_dev = math.inf if any(degs) else 0.0
-    return {
-        "expected_degree": expected,
-        "max_relative_deviation": max_dev,
-        "holds": max_dev <= eps,
-    }
+    max_dev, holds = degree_deviation(copy_degrees(pattern, g), expected, eps)
+    return {"expected_degree": expected, "max_relative_deviation": max_dev, "holds": holds}
+
+
+def degree_deviation(degs, expected: float, eps: float) -> tuple[float, bool]:
+    """(max |d - E| / E over the copy degrees d, whether max |d - E| <= eps * E).
+
+    With E <= 0 the deviation is inf when some degree is positive, else 0.
+    The deletion guard and part (b) of the regularity check both test this.
+    """
+    if expected <= 0:
+        return (math.inf, False) if any(degs) else (0.0, True)
+    worst = max(abs(d - expected) for d in degs)
+    return worst / expected, worst <= eps * expected
 
 
 def block_degrees(n: int, blocks) -> list[int]:

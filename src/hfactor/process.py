@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .embed import expected_copy_degree
+from .embed import degree_deviation, expected_copy_degree
 from .errors import InputError, InvariantError, NoFactorError
 from .factor import FactorCounter, check_cap, flatness
 from .host import HostGraph, complete_host, random_ordering, total_edges
@@ -72,18 +72,14 @@ def _guard_state(
     factors.  Regularity: every per-vertex copy count is within reg_eps
     relative deviation of its independent-edge expectation at the current
     effective density.  Both are evaluated exactly from the shared counter,
-    whose host has a factor, and its copy degrees degs.  Returns (both hold,
-    the flatness ratio maxr).
+    whose host has a factor (so some copy degree is positive), and its copy
+    degrees degs.  Returns (both hold, the flatness ratio maxr).
     """
     maxr = flatness(counter)
     if maxr > b_level:
         return False, maxr
-    # degree regularity against the expected copy degree
     expected = expected_copy_degree(counter.pattern, counter.host.n, p_now)
-    if expected <= 0:
-        return False, maxr
-    worst = max(abs(d - expected) for d in degs)
-    return worst <= reg_eps * expected, maxr
+    return degree_deviation(degs, expected, reg_eps)[1], maxr
 
 
 def run_process(

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import hfactor
+from hfactor import cli
 from hfactor.cli import main
 
 K3_TEXT = "graph 3\n0 1\n1 2\n0 2\n"
@@ -289,13 +291,13 @@ def test_exit_code_bad_flag(capsys):
 
 
 def test_exit_code_invariant_failure(monkeypatch, capsys, k2_file):
-    import hfactor.cli as cli_mod
     from hfactor.errors import InvariantError
 
     def boom(cfg):
         raise InvariantError("forced")
 
-    monkeypatch.setitem(cli_mod._COMMANDS, "analyze", (boom, ()))
+    _, _, flags = cli._COMMANDS["analyze"]
+    monkeypatch.setitem(cli._COMMANDS, "analyze", (boom, (), flags))
     code, _, err = run_cli(["analyze", "--pattern", k2_file], capsys)
     assert code == 2
     assert "invariant" in err
@@ -405,10 +407,11 @@ def test_config_file_matches_flags(command, k2_file, k3_file, tmp_path, capsys):
     ids=["format-choice", "n-type", "switch-value", "dest-name", "config-key"],
 )
 def test_config_file_values_pass_flag_checks(file_values, k3_file, tmp_path, capsys):
+    # poly reads every flag named here, so none of the keys is skipped
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(file_values))
     code, out, err = run_cli(
-        ["count", "--pattern", k3_file, "--n", "6", "--config", str(config)], capsys
+        ["poly", "--pattern", k3_file, "--n", "6", "--p", "0.5", "--config", str(config)], capsys
     )
     assert code == 1
     assert out == ""
@@ -458,7 +461,8 @@ def test_trace_rejects_negative_t_max(k2_file, capsys):
          "count-empty-config", "analyze-empty-pattern", "window-empty-weights"],
 )
 def test_falsy_flag_value_is_not_ignored(args, k2_file, capsys):
-    code, out, err = run_cli([args[0], "--pattern", k2_file, *args[1:]], capsys)
+    pattern = [] if args[0] == "window" else ["--pattern", k2_file]
+    code, out, err = run_cli([args[0], *pattern, *args[1:]], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -563,3 +567,128 @@ def test_malformed_input_is_an_error_line(case, k3_file, tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# each command's flags besides the shared ones (config, workers, out, format),
+# a required one marked "!"; 11 commands take 4 * 11 + 59 = 103 flags in all
+COMMAND_FLAGS = {
+    "analyze": "pattern!",
+    "count": "pattern! host n p M seed",
+    "scan": "pattern! n n-list trials seed target property",
+    "trace": "pattern! n! seed t-max eps b-level",
+    "martingale-check": "pattern! n! p trials seed",
+    "shearer": "pattern! n! p trials seed",
+    "window": "weights!",
+    "weight-lemma": "weights! n! v! B",
+    "poly": "pattern! n! p! mode eps theorem trials seed anchor-role anchor-vertex collapse",
+    "models": "pattern! n! p! trials seed sweep",
+    "regularity": "pattern! host n p! eps beta seed",
+}
+SHARED_FLAGS = {"config", "workers", "out", "format"}
+SWITCHES = {"collapse", "sweep"}
+
+
+def _flag_args(flag):
+    return [f"--{flag}"] if flag in SWITCHES else [f"--{flag}", "1"]
+
+
+def _required_args(command):
+    return [a for f in COMMAND_FLAGS[command].split() if f.endswith("!") for a in _flag_args(f[:-1])]
+
+
+def _help_flags(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    return set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_command_flags(command, capsys):
+    own = {f.rstrip("!") for f in COMMAND_FLAGS[command].split()}
+    assert _help_flags(command, capsys) == {f"--{f}" for f in own | SHARED_FLAGS}
+
+
+def test_accepted_command_flag_pairs(capsys):
+    # every command accepted all 27 flags (297 pairs) before each declared its own
+    assert cli._COMMANDS.keys() == COMMAND_FLAGS.keys()
+    assert sum(len(_help_flags(c, capsys)) for c in cli._COMMANDS) == 103
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_flag_of_another_command_is_an_error(command, capsys):
+    own = {f.rstrip("!") for f in COMMAND_FLAGS[command].split()} | SHARED_FLAGS
+    foreign = {f.rstrip("!") for flags in COMMAND_FLAGS.values() for f in flags.split()} - own
+    assert foreign
+    for flag in sorted(foreign):
+        code, out, err = run_cli([command, *_required_args(command), *_flag_args(flag)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {' '.join(_flag_args(flag))}\n"
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_missing_required_flag_is_an_error(command, capsys):
+    required = [f[:-1] for f in COMMAND_FLAGS[command].split() if f.endswith("!")]
+    for flag in required:
+        args = [a for f in required if f != flag for a in _flag_args(f)]
+        code, out, err = run_cli([command, *args], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: the following arguments are required: --{flag}\n"
+
+
+def test_abbreviated_flag_is_an_error(capsys):
+    # otherwise a flag another command reads could pass as a prefix: --p as --pattern
+    code, out, err = run_cli(["trace", "--pattern", "k3.txt", "--n", "6", "--see", "3"], capsys)
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --see 3\n")
+
+
+def test_regularity_needs_host_or_n(k3_file, capsys):
+    code, out, err = run_cli(["regularity", "--pattern", k3_file, "--p", "0.5"], capsys)
+    assert (code, out, err) == (1, "", "error: regularity needs --host or --n\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_parse():
+    lines = [line.split("#")[0].split() for line in README.read_text().splitlines()
+             if line.startswith("hfactor ")]
+    assert len(lines) >= len(COMMAND_FLAGS)
+    for argv in lines:
+        assert cli.config_from_args(argv[1:]).command == argv[1]
+
+
+def test_readme_flag_table_matches_parser():
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().strip("`") in COMMAND_FLAGS:
+            rows[cells[1].strip().strip("`")] = " ".join(
+                f.strip("*`").removeprefix("--") + ("!" if f.startswith("**") else "")
+                for f in cells[2].replace(",", " ").split())
+    assert rows == COMMAND_FLAGS
+
+
+def test_shared_config_file_serves_several_commands(k2_file, tmp_path, capsys):
+    # a key that only other commands read is skipped: trace reads none of p,
+    # trials and sweep, and models reads no t-max
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"pattern": k2_file, "n": 8, "p": 0.5, "trials": 40, "seed": 3,
+                                  "sweep": True, "t_max": 4, "workers": 1}))
+    for command, flags in [("trace", ["--n", "8", "--seed", "3", "--t-max", "4"]),
+                           ("models", ["--n", "8", "--p", "0.5", "--trials", "40", "--seed", "3",
+                                       "--sweep"])]:
+        code, from_file, _ = run_cli([command, "--config", str(config)], capsys)
+        assert code == 0
+        code, from_flags, _ = run_cli([command, "--pattern", k2_file, *flags, "--workers", "1"],
+                                      capsys)
+        assert code == 0
+        assert from_file == from_flags
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_config_key_no_command_reads_is_an_error(command, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "sweeps": True}))
+    code, out, err = run_cli([command, "--config", str(config)], capsys)
+    assert (code, out, err) == (1, "", "error: unknown config key 'sweeps'\n")
