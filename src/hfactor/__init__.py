@@ -13,19 +13,17 @@ import importlib
 _EXPORTS = {
     "embed": ("ConstraintSpec", "automorphism_count", "constrained_count", "copy_degrees",
               "degree_regularity", "enumerate_copies", "expected_copy_degree"),
-    "entropy": ("WeightedFamily", "copy_distribution", "entropy_window", "shearer_check",
-                "weight_lemma_check"),
+    "entropy": ("WeightedFamily", "entropy_window", "shearer_check", "weight_lemma_check"),
     "errors": ("InputError", "InvariantError", "NoFactorError"),
-    "factor": ("FactorCount", "FactorCounter", "b_statistic", "c_statistic",
-               "complete_graph_count", "count_factors", "edge_fraction",
-               "expected_factor_count", "has_factor", "weight_w"),
+    "factor": ("FactorCount", "FactorCounter", "complete_graph_count", "count_factors",
+               "has_factor"),
     "host": ("HostGraph", "complete_host", "host_from_edges", "parse_host", "random_ordering",
              "sample_gnm", "sample_gnp"),
     "pattern": ("Balance", "DensityReport", "PatternGraph", "complete_pattern", "cycle_pattern",
                 "density", "density_profile", "parse_pattern", "path_pattern",
                 "pattern_from_edges", "single_edge_pattern"),
-    "polynomial": ("CopyPolynomial", "concentration_trial", "derivative_expectation",
-                   "derivative_profile", "expectation", "hypothesis_check", "regularity_report"),
+    "polynomial": ("CopyPolynomial", "concentration_trial", "derivative_profile", "expectation",
+                   "hypothesis_check", "regularity_report"),
     "process": ("ProcessTrace", "gamma", "run_process", "verify_martingale_step"),
     "thresholds": ("ThresholdEstimate", "compare_models", "coverage_check", "formula_threshold",
                    "role_coverage_check", "threshold_scan"),

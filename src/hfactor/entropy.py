@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .embed import enumerate_copies
 from .errors import InputError, InvariantError, NoFactorError
 from .factor import FactorCounter
 from .host import HostGraph, mask_bits
@@ -36,26 +35,6 @@ class WeightedFamily:
             raise InputError("weights must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class CopyDistribution:
-    """Distribution of the copy covering vertex y in a uniform random factor.
-
-    copies lists the positive-probability labeled copies; weights[i] factors
-    of the host minus that copy's vertices.  h is the entropy in nats.
-    """
-
-    vertex: int
-    copies: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
-    h: float
-    zero_weight_copies: int
-
-    @property
-    def probabilities(self) -> tuple[Fraction, ...]:
-        total = sum(self.weights)
-        return tuple(Fraction(w, total) for w in self.weights)
-
-
 def _entropy_from_weights(weights, total) -> float:
     h = 0.0
     for w in weights:
@@ -63,26 +42,6 @@ def _entropy_from_weights(weights, total) -> float:
             q = w / total
             h -= q * math.log(q)
     return h
-
-
-def copy_distribution(pattern: PatternGraph, g: HostGraph, y: int) -> CopyDistribution:
-    """The law of the copy covering y in a uniform random factor, exactly.
-
-    Its entropy h(y) is the term of vertex y in the Shearer bound.  A copy's
-    weight is its block's weight; copies that extend to no factor are dropped.
-    """
-    if not 0 <= y < g.n:
-        raise InputError(f"vertex {y} out of range")
-    counter = FactorCounter(pattern, g)
-    if counter.count() == 0:
-        raise NoFactorError("host has no factor")
-    through_y = [c for c in enumerate_copies(pattern, g) if y in c]
-    kept = [(c, w) for c, w in zip(through_y, counter.copy_weights(through_y)) if w > 0]
-    weights = tuple(w for _, w in kept)
-    return CopyDistribution(
-        vertex=y, copies=tuple(c for c, _ in kept), weights=weights,
-        h=_entropy_from_weights(weights, sum(weights)), zero_weight_copies=len(through_y) - len(kept),
-    )
 
 
 def _vertex_entropies(counter: FactorCounter) -> list[float]:

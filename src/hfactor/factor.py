@@ -1,4 +1,4 @@
-"""Exact factor counting and the weight statistics built on it.
+"""Exact factor counting, and the block weights and flatness built on it.
 
 A factor of a host on n vertices is a set of n/v labeled copies of the
 pattern whose vertex sets partition the host.  Counts are labeled throughout
@@ -7,8 +7,8 @@ counts are derived by exact division with the automorphism count.
 
 The counter recurses on the uncovered vertex set, always covering its
 minimum vertex, with the subset memoized as a bitmask.  The memo is shared
-across queries on the same host, which makes per-copy weights, per-edge
-fractions and induced-subgraph counts cheap once one graph is loaded.
+across queries on the same host, which makes block weights, per-edge
+counts and induced-subgraph counts cheap once one graph is loaded.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .embed import automorphism_count, block_degrees, enumerate_copies, host_blocks
-from .errors import InputError, InvariantError, NoFactorError
+from .errors import InputError, InvariantError
 from .host import HostGraph, mask_bits
 from .pattern import PatternGraph, check_divisible
 
@@ -42,21 +42,6 @@ def check_cap(pattern: PatternGraph, n: int) -> None:
 class FactorCount:
     labeled: int
     unlabeled: int
-
-
-@dataclass(frozen=True)
-class WeightStats:
-    """Per-copy factor counts of the leave-one-copy-out subgraphs.
-
-    weights[i] is the number of factors of the host minus the vertex set of
-    the i-th labeled copy; maxr is max/mean, the headline flatness statistic.
-    """
-
-    copies: tuple[tuple[int, ...], ...]
-    weights: tuple[int, ...]
-    mean: Fraction
-    max: int
-    maxr: Fraction
 
 
 class FactorCounter:
@@ -196,11 +181,6 @@ class FactorCounter:
             best = max(best, w)
         return best
 
-    def copy_weights(self, copies) -> list[int]:
-        """w(K) = factors of the host minus V(K) per copy K: the weight of the block on V(K)."""
-        by_block = {bmask: w for (bmask, _), w in zip(self._blocks, self.block_weights())}
-        return [by_block[sum(1 << x for x in c)] for c in copies]
-
     def count(self, mask: int | None = None) -> int:
         """Number of factors of the host induced on the masked vertex set."""
         mask = self.full_mask if mask is None else mask
@@ -211,14 +191,6 @@ class FactorCounter:
         if not 0 <= mask <= self.full_mask:
             raise InputError(f"mask {mask} is outside 0..{self.full_mask}")
         return mask
-
-    def count_excluding(self, vertices) -> int:
-        mask = self.full_mask
-        for x in vertices:
-            if not 0 <= x < self.host.n:
-                raise InputError(f"vertex {x} out of range")
-            mask &= ~(1 << x)
-        return self.count(mask)
 
     def count_using_edge(self, e) -> int:
         """Factors whose copies use host edge e.
@@ -316,123 +288,10 @@ def has_factor(pattern: PatternGraph, g: HostGraph) -> bool:
     return counter.exists()
 
 
-def _complete_labeled(pattern: PatternGraph, n: int) -> int:
+def complete_graph_count(pattern: PatternGraph, n: int) -> FactorCount:
+    """Closed form on the complete host: labeled count n!/(n/v)!."""
     if n < 0:
         raise InputError(f"n must be nonnegative, got {n}")
     check_divisible(pattern, n)
-    return math.factorial(n) // math.factorial(n // pattern.v)
+    return _with_unlabeled(pattern, n, math.factorial(n) // math.factorial(n // pattern.v))
 
-
-def complete_graph_count(pattern: PatternGraph, n: int) -> FactorCount:
-    """Closed form on the complete host: labeled count n!/(n/v)!."""
-    return _with_unlabeled(pattern, n, _complete_labeled(pattern, n))
-
-
-def expected_factor_count(pattern: PatternGraph, n: int, p: float) -> float:
-    """The first moment E Phi of the labeled factor count in the independent-edge model.
-
-    Every factor uses exactly m*n/v distinct edges (its copies are
-    vertex-disjoint), so E Phi is n!/(n/v)! times p to that power, computed
-    exactly and rounded once; a value past the float range is inf.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"p must lie in [0, 1], got {p}")
-    try:
-        return float(_complete_labeled(pattern, n) * Fraction(p) ** (pattern.m * n // pattern.v))
-    except OverflowError:
-        return math.inf
-
-
-def edge_fraction(pattern: PatternGraph, g: HostGraph, e, counter: FactorCounter | None = None) -> Fraction:
-    """Fraction of factors using host edge e, equal to 1 - count(G-e)/count(G).
-
-    Computed from a single shared-memo counter on G: the factors using e are
-    counted directly, which is equivalent to the two-count form but lets a
-    battery over all edges reuse one memo table.
-    """
-    if counter is None:
-        counter = FactorCounter(pattern, g)
-    total = counter.count()
-    if total == 0:
-        raise NoFactorError("host has no factor; edge fraction undefined")
-    return Fraction(counter.count_using_edge(e), total)
-
-
-def weight_w(pattern: PatternGraph, g: HostGraph, zapped, counter: FactorCounter | None = None) -> int:
-    """The weight w(Z) of a vertex set Z with |Z| <= v: factors avoiding it.
-
-    For |Z| = v this is the factor count of the host minus Z; for smaller Z
-    it sums that count over all v-supersets of Z inside the vertex set.
-    """
-    zapped = tuple(zapped)
-    z = tuple(sorted(set(zapped)))
-    if len(z) != len(zapped):
-        raise InputError("vertex set has repeats")
-    if len(z) > pattern.v:
-        raise InputError(f"need |Z| <= {pattern.v}, got {len(z)}")
-    for x in z:
-        if not 0 <= x < g.n:
-            raise InputError(f"vertex {x} out of range")
-    if counter is None:
-        counter = FactorCounter(pattern, g)
-    if len(z) == pattern.v:
-        return counter.count_excluding(z)
-    rest = [x for x in range(g.n) if x not in z]
-    return sum(
-        counter.count_excluding(z + extra)
-        for extra in itertools.combinations(rest, pattern.v - len(z))
-    )
-
-
-def b_statistic(pattern: PatternGraph, g: HostGraph) -> WeightStats:
-    """Per-copy weights w(K) = #factors of G minus V(K), with their spread maxr."""
-    counter = FactorCounter(pattern, g)
-    if counter.count() == 0:
-        raise NoFactorError("host has no factor")
-    copies = enumerate_copies(pattern, g)
-    if not copies:
-        raise NoFactorError("host has no copies")
-    weights = tuple(counter.copy_weights(copies))
-    return WeightStats(copies=tuple(copies), weights=weights, mean=Fraction(sum(weights), len(weights)),
-                       max=max(weights), maxr=flatness(counter))
-
-
-def c_statistic(pattern: PatternGraph, g: HostGraph) -> dict:
-    """The spread condition on (v-1)-sets: no completion weight dominates.
-
-    For each (v-1)-set Y the completions are w(Y + {x}); the inequality
-    requires the max to be at most max(n^(-2(v-1)) * count, twice the median).
-    The lower median is used for even sizes; this convention is recorded in
-    the report rather than guessed away.
-    """
-    counter = FactorCounter(pattern, g)
-    total = counter.count()
-    if total == 0:
-        raise NoFactorError("host has no factor")
-    n, v = g.n, pattern.v
-    floor_term = Fraction(total, n ** (2 * (v - 1)))
-    worst = None
-    violations = []
-    for y in itertools.combinations(range(n), v - 1):
-        vals = sorted(
-            counter.count_excluding(y + (x,)) for x in range(n) if x not in y
-        )
-        mx = vals[-1]
-        med = vals[(len(vals) - 1) // 2]
-        bound = max(floor_term, Fraction(2 * med))  # >= floor_term > 0
-        ratio = Fraction(mx) / bound
-        holds = Fraction(mx) <= bound
-        if not holds:
-            violations.append(y)
-        if worst is None or ratio > worst[1]:
-            worst = (y, ratio, mx, med)
-    return {
-        "holds": not violations,
-        "violations": violations,
-        "worst_set": worst[0],
-        "worst_ratio": worst[1],
-        "worst_max": worst[2],
-        "worst_median": worst[3],
-        "median_convention": "lower",
-        "floor_term": floor_term,
-    }

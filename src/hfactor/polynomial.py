@@ -108,29 +108,6 @@ def expectation(f: CopyPolynomial, p: float) -> float:
     return _injection_count(f, ()) // _basis_unit(f) * p**f.degree
 
 
-def derivative_expectation(f: CopyPolynomial, fixed_edges, p: float) -> float:
-    """Expectation of the partial derivative with respect to the given host edges."""
-    if not 0.0 <= p <= 1.0:
-        raise InputError(f"p must lie in [0, 1], got {p}")
-    fixed = {tuple(sorted(e)) for e in fixed_edges}
-    if len(fixed) > f.degree:
-        raise InputError("more fixed edges than the polynomial degree")
-    if not fixed:
-        return expectation(f, p)
-    # the host only rejects malformed edges; the count runs on pattern labels,
-    # pin images at their pins and other vertices at the unpinned labels
-    host = host_from_edges(f.pattern.k, f.n, fixed)
-    label = {x: a for a, x in f.spec.pins}
-    others = sorted({x for e in host.edges for x in e} - label.keys())
-    unpinned = [a for a in range(f.pattern.v) if a not in f.spec.pinned_vertices]
-    count = 0
-    # no term has more than v vertices or an edge inside the pin images
-    if len(others) <= len(unpinned) and not any(label.keys() >= set(e) for e in host.edges):
-        label.update(zip(others, unpinned))
-        count = _injection_count(f, tuple(tuple(label[x] for x in e) for e in host.edges))
-    return count // _basis_unit(f) * p ** (f.degree - len(fixed))
-
-
 def derivative_profile(f: CopyPolynomial, p: float) -> dict:
     """Max derivative expectations by order, plus the below-degree ceiling.
 

@@ -272,12 +272,6 @@ def _subset_histogram(f) -> list:
     return sub_counts
 
 
-def derivative_expectation_bruteforce(f, fixed_edges, p: float) -> float:
-    fixed = frozenset(tuple(sorted(e)) for e in fixed_edges)
-    hits = sum(c for u, c in edge_image_terms(f).items() if fixed <= u)
-    return hits * p ** (f.degree - len(fixed))
-
-
 def derivative_profile_bruteforce(f, p: float) -> dict:
     """The derivative profile from the explicit term histogram."""
     terms = edge_image_terms(f)

@@ -21,16 +21,10 @@ from oracles import binomial_mixture_estimate, partition_factor_count
 
 from hfactor.embed import ConstraintSpec, constrained_count, full_constraint
 from hfactor.entropy import WeightedFamily, entropy_window, shearer_check, weight_lemma_check
-from hfactor.factor import (
-    FactorCounter,
-    complete_graph_count,
-    count_factors,
-    edge_fraction,
-    has_factor,
-)
+from hfactor.factor import FactorCounter, complete_graph_count, count_factors
 from hfactor.host import complete_host, host_from_edges, sample_gnp
 from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern, single_edge_pattern
-from hfactor.polynomial import CopyPolynomial, derivative_expectation, derivative_profile
+from hfactor.polynomial import CopyPolynomial, derivative_profile, evaluate, expectation
 from hfactor.process import run_process, verify_martingale_step
 from hfactor.rng import derive_seed
 from hfactor.thresholds import compare_models, coverage_check, role_coverage_check, threshold_scan
@@ -83,7 +77,7 @@ def test_criterion_2_martingale_identity(factor_battery):
 
 def test_criterion_3_edge_sum_identity(factor_battery):
     for pat, g, counter in factor_battery:
-        acc = sum(edge_fraction(pat, g, e, counter=counter) for e in g.edges)
+        acc = Fraction(sum(counter.count_using_edge(e) for e in g.edges), counter.count())
         assert acc == Fraction(pat.m * g.n, pat.v)
     _report(3, "edge fractions sum to m*n/v exactly on 100 random hosts")
 
@@ -268,20 +262,16 @@ def test_criterion_12_polynomial_consistency():
     while cases < 50:
         pat, spec = battery[cases % len(battery)]
         f = CopyPolynomial(pattern=pat, n=n, anchor=spec)
-        assert derivative_expectation(f, [], 1.0) == constrained_count(pat, g, spec)
+        assert expectation(f, 1.0) == constrained_count(pat, g, spec)
         cases += 1
     # Monte Carlo agreement of the expectation
     f = CopyPolynomial(pattern=K3, n=10, anchor=ConstraintSpec(((0, 0),), K3.edges))
     p, trials = 0.6, 2000
     vals = []
-    from hfactor.polynomial import evaluate
-
     for t in range(trials):
         vals.append(evaluate(f, sample_gnp(2, 10, p, derive_seed(1212, t))))
     mean = sum(vals) / trials
     sd = math.sqrt(sum((x - mean) ** 2 for x in vals) / trials)
-    from hfactor.polynomial import expectation
-
     target = expectation(f, p)
     assert abs(mean - target) <= 4 * sd / math.sqrt(trials)
     # decay exponent at the threshold density
@@ -315,7 +305,7 @@ def test_criterion_13_hypergraph_parity():
             continue
         left, right = verify_martingale_step(E3, g)
         assert left == right
-        acc = sum(edge_fraction(E3, g, e, counter=counter) for e in g.edges)
+        acc = Fraction(sum(counter.count_using_edge(e) for e in g.edges), counter.count())
         assert acc == Fraction(E3.m * g.n, E3.v)
         checked += 1
     _report(13, "hypergraph counts, conditional-mean and edge-sum identities hold")

@@ -2,88 +2,20 @@ import itertools
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import graph_hosts
 from oracles import factor_list, weight_lemma_hypothesis_bruteforce
 
-from hfactor.entropy import (
-    WeightedFamily,
-    copy_distribution,
-    entropy_window,
-    shearer_check,
-    weight_lemma_check,
-)
-from hfactor.errors import InputError, NoFactorError
-from hfactor.factor import FactorCounter
-from hfactor.host import complete_host, host_from_edges, sample_gnp
+from hfactor.entropy import WeightedFamily, entropy_window, shearer_check, weight_lemma_check
+from hfactor.errors import InputError
+from hfactor.host import complete_host, sample_gnp
 from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern, single_edge_pattern
 from hfactor.rng import derive_seed
 
 K2 = complete_pattern(2)
 K3 = complete_pattern(3)
-
-
-def test_copy_distribution_complete_host():
-    dist = copy_distribution(K2, complete_host(2, 4), 0)
-    assert len(dist.copies) == 6
-    assert dist.h == pytest.approx(math.log(6))
-    assert all(pr == Fraction(1, 6) for pr in dist.probabilities)
-
-
-def test_copy_distribution_single_block():
-    dist = copy_distribution(K3, complete_host(2, 3), 1)
-    assert len(dist.copies) == 6
-    assert dist.h == pytest.approx(math.log(6))
-
-
-def test_copy_distribution_no_factor():
-    with pytest.raises(NoFactorError):
-        copy_distribution(K2, host_from_edges(2, 4, [(0, 1), (1, 2)]), 0)
-
-
-def test_copy_distribution_matches_factor_enumeration():
-    # independent oracle: enumerate every labeled factor and read off the
-    # distribution of the copy covering y
-    for seed in range(8):
-        g = sample_gnp(2, 6, 0.8, derive_seed(21, seed))
-        factors = factor_list(K2, g)
-        if not factors:
-            continue
-        for y in range(g.n):
-            hits = Counter()
-            for f in factors:
-                for copy in f:
-                    if y in copy:
-                        hits[copy] += 1
-            dist = copy_distribution(K2, g, y)
-            assert set(dist.copies) == set(hits)
-            for copy, w in zip(dist.copies, dist.weights):
-                assert hits[copy] == w
-            oracle_h = -sum(
-                (c / len(factors)) * math.log(c / len(factors)) for c in hits.values()
-            )
-            assert dist.h == pytest.approx(oracle_h)
-
-
-def test_probabilities_sum_to_one():
-    dist = copy_distribution(K3, complete_host(2, 6), 2)
-    assert sum(dist.probabilities) == 1
-    # full symmetry: uniform over all positive-weight copies through y
-    assert dist.h == pytest.approx(math.log(len(dist.copies)))
-
-
-def test_entropy_bounded_by_support():
-    for seed in range(10):
-        g = sample_gnp(2, 8, 0.7, derive_seed(33, seed))
-        if FactorCounter(K2, g).count() == 0:
-            continue
-        for y in range(0, 8, 3):
-            dist = copy_distribution(K2, g, y)
-            assert dist.h <= math.log(len(dist.copies)) + 1e-9
 
 
 def test_shearer_examples():
@@ -97,20 +29,27 @@ def test_shearer_examples():
 
 
 def test_shearer_random_battery():
-    # shearer's per-vertex entropies are those of copy_distribution, which
-    # test_copy_distribution_matches_factor_enumeration checks against an oracle
+    # h(y) is the entropy of the copy covering y in a uniform random factor:
+    # the oracle lists every labeled factor and tallies that copy per vertex
     checked = 0
     for pat, n, p in [(K2, 8, 0.6), (K2, 10, 0.5), (K3, 6, 0.8), (K3, 9, 0.75),
                       (path_pattern(3), 9, 0.6), (cycle_pattern(4), 8, 0.7),
                       (single_edge_pattern(3), 9, 0.4)]:
         for seed in range(30):
             g = sample_gnp(pat.k, n, p, derive_seed(55, seed))
-            if FactorCounter(pat, g).count() == 0:
+            factors = factor_list(pat, g)
+            if not factors:
                 continue
+            hits = [Counter() for _ in range(n)]
+            for factor in factors:
+                for copy in factor:
+                    for y in copy:
+                        hits[y][copy] += 1
             rep = shearer_check(pat, g)
             assert rep["slack"] >= -1e-9
             for y, h in enumerate(rep["per_vertex_entropy"]):
-                assert copy_distribution(pat, g, y).h == pytest.approx(h, rel=0, abs=1e-12)
+                oracle_h = -sum(c / len(factors) * math.log(c / len(factors)) for c in hits[y].values())
+                assert oracle_h == pytest.approx(h, rel=0, abs=1e-12)
             checked += 1
             if checked % 5 == 0:
                 break

@@ -3,24 +3,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import graph_hosts, graph_patterns
+from conftest import graph_hosts, graph_patterns, hypergraph_patterns
 from oracles import injection_copies, partition_factor_count
 
-from hfactor.errors import InputError, NoFactorError
-from hfactor.factor import (
-    FactorCounter,
-    b_statistic,
-    c_statistic,
-    complete_graph_count,
-    count_factors,
-    edge_fraction,
-    expected_factor_count,
-    flatness,
-    has_factor,
-    weight_w,
-)
+from hfactor.errors import InputError
+from hfactor.factor import FactorCounter, complete_graph_count, count_factors, flatness, has_factor
 from hfactor.host import complete_host, host_from_edges, random_ordering, sample_gnp
 from hfactor.pattern import (
     complete_pattern,
@@ -80,8 +69,11 @@ def test_single_vertex_block_case():
     assert complete_graph_count(K3, 3).labeled == 6
 
 
-@given(graph_patterns(max_v=3), graph_hosts(min_n=2, max_n=8))
-def test_counts_match_partition_oracle(p, g):
+# twice the default examples, so the graph cases keep their share
+@settings(max_examples=80)
+@given(st.one_of(st.tuples(graph_patterns(max_v=3), graph_hosts(min_n=2, max_n=8)), hypergraph_patterns()))
+def test_counts_match_partition_oracle(case):
+    p, g = case
     if g.n % p.v:
         return
     assert count_factors(p, g).labeled == partition_factor_count(p, g)
@@ -102,20 +94,6 @@ def test_labeled_unlabeled_consistency():
             assert (fc.labeled == 0) == (fc.unlabeled == 0)
 
 
-def test_expected_factor_count():
-    assert expected_factor_count(K2, 8, 0.5) == pytest.approx(105.0)
-    assert expected_factor_count(K3, 6, 1.0) == 360.0
-    assert expected_factor_count(K3, 6, 0.0) == 0.0
-    # 400!/200! * 0.01^200 fits a float although 400!/200! does not
-    assert expected_factor_count(K2, 400, 0.01) == pytest.approx(8.1194299196669595e93, rel=1e-12)
-    assert expected_factor_count(K2, 400, 1.0) == math.inf
-    for bad in (1.5, -0.1, math.nan):
-        with pytest.raises(InputError, match="p must lie in"):
-            expected_factor_count(K2, 8, bad)
-    with pytest.raises(InputError, match="nonnegative"):
-        expected_factor_count(K3, -3, 0.5)
-
-
 def test_expectation_matches_monte_carlo():
     n, p, trials = 8, 0.5, 4000
     vals = [
@@ -128,30 +106,27 @@ def test_expectation_matches_monte_carlo():
 
 
 def test_edge_fraction_examples():
-    assert edge_fraction(K2, complete_host(2, 4), (0, 1)) == Fraction(1, 3)
-    assert edge_fraction(K3, complete_host(2, 3), (0, 1)) == 1
-    assert edge_fraction(K3, complete_host(2, 6), (2, 5)) == Fraction(2, 5)
-
-
-def test_edge_fraction_no_factor():
-    with pytest.raises(NoFactorError):
-        edge_fraction(K2, host_from_edges(2, 4, [(0, 1), (1, 2)]), (0, 1))
+    # the share of the factors whose copies use the edge
+    for pat, n, e, share in [(K2, 4, (0, 1), Fraction(1, 3)), (K3, 3, (0, 1), 1), (K3, 6, (2, 5), Fraction(2, 5))]:
+        counter = FactorCounter(pat, complete_host(2, n))
+        assert Fraction(counter.count_using_edge(e), counter.count()) == share
 
 
 def test_edge_fraction_matches_two_counts():
     for seed in range(30):
         g = sample_gnp(2, 8, 0.8, seed)
-        total = count_factors(K2, g).labeled
+        counter = FactorCounter(K2, g)
+        total = counter.count()
         if total == 0:
             continue
         for e in g.edges[:4]:
-            direct = edge_fraction(K2, g, e)
             removed = count_factors(K2, g.without_edge(e)).labeled
-            assert direct == 1 - Fraction(removed, total)
+            assert counter.count_using_edge(e) == total - removed
             assert removed <= total  # deletion monotonicity
 
 
 def test_edge_sum_identity():
+    # every factor uses m*n/v edges, so the edge fractions sum to m*n/v
     for pat, n, p in [(K2, 8, 0.7), (K3, 6, 0.85), (E3, 6, 0.7)]:
         found = 0
         for seed in range(60):
@@ -160,7 +135,7 @@ def test_edge_sum_identity():
             if counter.count() == 0:
                 continue
             found += 1
-            acc = sum(edge_fraction(pat, g, e, counter=counter) for e in g.edges)
+            acc = Fraction(sum(counter.count_using_edge(e) for e in g.edges), counter.count())
             assert acc == Fraction(pat.m * n, pat.v)
             if found >= 10:
                 break
@@ -168,40 +143,24 @@ def test_edge_sum_identity():
 
 
 def test_weight_w_examples():
-    assert weight_w(K2, complete_host(2, 4), (0, 1)) == 2
-    assert weight_w(K3, complete_host(2, 6), (0, 1, 2)) == 6
-    assert weight_w(K3, complete_host(2, 3), (0, 1, 2)) == 1  # empty remainder
-    with pytest.raises(InputError):
-        weight_w(K2, complete_host(2, 4), (0, 1, 2))
-
-
-def test_weight_w_partial_sets():
-    g = complete_host(2, 6)
-    # |Z| < v: sum over v-supersets
-    total = weight_w(K3, g, (0, 1))
-    by_hand = sum(weight_w(K3, g, (0, 1, x)) for x in range(2, 6))
-    assert total == by_hand
-
-
-def test_weight_w_iterator_input():
-    # the vertex set is read once, so a one-shot iterator gives the list result
-    g = complete_host(2, 6)
-    for pat, zapped in ((K2, [0, 1]), (K3, [0, 1]), (K3, [0, 1, 2])):
-        assert weight_w(pat, g, iter(zapped)) == weight_w(pat, g, zapped)
-    with pytest.raises(InputError):
-        weight_w(K2, g, iter([0, 0]))
+    # w(Z) for a v-set Z: the factors of the host minus Z
+    assert FactorCounter(K2, complete_host(2, 4)).count(0b1100) == 2
+    assert FactorCounter(K3, complete_host(2, 6)).count(0b111000) == 6
+    assert FactorCounter(K3, complete_host(2, 3)).count(0) == 1  # empty remainder
 
 
 def test_b_statistic_symmetric():
-    assert b_statistic(K3, complete_host(2, 6)).maxr == 1
-    assert b_statistic(K2, complete_host(2, 4)).maxr == 1
+    # B is the flatness max/mean of the copy weights
+    assert flatness(FactorCounter(K3, complete_host(2, 6))) == 1
+    assert flatness(FactorCounter(K2, complete_host(2, 4))) == 1
 
 
 def test_b_statistic_path():
-    stats = b_statistic(K2, host_from_edges(2, 4, [(0, 1), (1, 2), (2, 3)]))
-    assert stats.maxr == Fraction(3, 2)
-    assert stats.max == 2
-    assert stats.mean == Fraction(4, 3)
+    # the path 0-1-2-3: copies on 01 and 23 weigh 2 each, the two on 12 weigh 0
+    counter = FactorCounter(K2, host_from_edges(2, 4, [(0, 1), (1, 2), (2, 3)]))
+    assert flatness(counter) == Fraction(3, 2)
+    assert counter.max_block_weight() == 2
+    assert counter.block_weights() == [2, 0, 2]
 
 
 @given(st.sampled_from([K2, K3, P3, C4, E3]), st.data())
@@ -215,25 +174,11 @@ def test_weight_sum_identity(pat, data):
     total = counter.count()
     if total == 0:
         return
-    stats = b_statistic(pat, g)
-    assert stats.weights == tuple(counter.count_excluding(c) for c in stats.copies)
-    assert sum(stats.weights) == (n // pat.v) * total
-    assert stats.maxr == stats.max / stats.mean == flatness(counter)
-    assert stats.maxr >= 1
-
-
-def test_c_statistic_symmetric():
-    assert c_statistic(K3, complete_host(2, 6))["holds"]
-    assert c_statistic(K2, complete_host(2, 4))["holds"]
-
-
-def test_c_statistic_flags_dominant_completion():
-    # one pendant edge into a clique: the pendant pair dominates all other
-    # completions of the singleton set at the pendant vertex
-    g = host_from_edges(2, 6, [(0, 1)] + [(i, j) for i in range(2, 6) for j in range(i + 1, 6)])
-    rep = c_statistic(K2, g)
-    assert not rep["holds"]
-    assert (0,) in rep["violations"]
+    full = counter.full_mask
+    weights = [counter.count(full & ~sum(1 << x for x in c)) for c in injection_copies(pat, g)]
+    assert sum(weights) == (n // pat.v) * total
+    assert flatness(counter) == Fraction(max(weights) * len(weights), sum(weights))
+    assert flatness(counter) >= 1
 
 
 def test_hypergraph_counts():
@@ -250,7 +195,7 @@ def test_counter_memo_reuse():
     full = counter.count()
     assert full == complete_graph_count(K2, 8).labeled
     # induced-subgraph counts through the same memo
-    assert counter.count_excluding((0, 1)) == complete_graph_count(K2, 6).labeled
+    assert counter.count(counter.full_mask & ~0b11) == complete_graph_count(K2, 6).labeled
 
 
 def test_block_weights_are_complement_counts():
@@ -260,7 +205,7 @@ def test_block_weights_are_complement_counts():
         blocks = counter.block_items()
         assert blocks
         assert counter.block_weights() == [
-            counter.count_excluding(x for x in range(n) if bmask >> x & 1) for bmask, _ in blocks
+            counter.count(sum(1 << x for x in range(n) if not bmask >> x & 1)) for bmask, _ in blocks
         ]
 
 
@@ -493,29 +438,26 @@ COUNT_PATTERNS = {"K2": K2, "K3": K3, "P3": P3, "E3": E3}
 
 @st.composite
 def count_queries(draw):
-    """A pattern, a seeded host and a sequence of count / count_excluding queries."""
+    """A pattern, a seeded host and a sequence of count queries."""
     p = COUNT_PATTERNS[draw(st.sampled_from(sorted(COUNT_PATTERNS)))]
     n = draw(st.integers(min_value=p.v, max_value=9))
     prob = draw(st.sampled_from([0.3, 0.6, 0.9, 1.0]))
     g = sample_gnp(p.k, n, prob, draw(st.integers(0, 2**32)))
     full = (1 << n) - 1
-    queries = draw(st.lists(st.tuples(st.booleans(), st.integers(0, full)), max_size=6))
+    queries = draw(st.lists(st.integers(0, full), max_size=6))
     # the whole-host count() goes in at a drawn place, often after the sub-masks
-    queries.insert(draw(st.integers(0, len(queries))), (False, full))
+    queries.insert(draw(st.integers(0, len(queries))), full)
     return p, g, queries
 
 
 # count(mask) against brute-force partitions of the induced host, with the
-# memo filled by earlier queries of either kind in the order drawn.
+# memo filled by earlier queries in the order drawn.
 @given(count_queries())
 def test_count_on_submasks_matches_partition_oracle(case):
     p, g, queries = case
     counter = FactorCounter(p, g)
-    for excluding, mask in queries:
-        if excluding:
-            got = counter.count_excluding(x for x in range(g.n) if not mask >> x & 1)
-        else:
-            got = counter.count(mask)
+    for mask in queries:
+        got = counter.count(mask)
         size = bin(mask).count("1")
         assert got == (partition_factor_count(p, _induced(g, mask)) if size % p.v == 0 else 0)
 
@@ -530,7 +472,7 @@ def test_count_entered_once_per_query(monkeypatch):
 
     monkeypatch.setattr(FactorCounter, "count", wrapped)
     counter = FactorCounter(K3, complete_host(2, 12))
-    assert counter.count_excluding((0, 1, 2)) == complete_graph_count(K3, 9).labeled
+    assert counter.count(counter.full_mask & ~0b111) == complete_graph_count(K3, 9).labeled
     assert counter.count() == complete_graph_count(K3, 12).labeled
     assert entered == [counter.full_mask & ~0b111, None]
 

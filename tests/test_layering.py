@@ -92,10 +92,35 @@ def test_command_loads_only_its_layers(command, tmp_path):
     assert loaded == expected
 
 
+# public names the package no longer has; the tests check what they computed on the
+# paths that stay (count, count_using_edge, flatness, shearer_check, expectation)
+REMOVED_NAMES = ("copy_degree", "WeightStats", "expected_factor_count", "edge_fraction", "weight_w",
+                 "b_statistic", "c_statistic", "CopyDistribution", "copy_distribution",
+                 "derivative_expectation")
+
+
 def test_every_public_name_resolves():
     for name in hfactor.__all__:
         assert getattr(hfactor, name).__name__ == name
     assert set(hfactor.__all__) <= set(dir(hfactor))
-    assert "copy_degree" not in hfactor.__all__
-    with pytest.raises(AttributeError, match="no_such_name"):
-        getattr(hfactor, "no_such_name")
+    for name in ("no_such_name", *REMOVED_NAMES):
+        assert name not in hfactor.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(hfactor, name)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module binds by a module-level import and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_module_has_an_unused_import():
+    package = Path(hfactor.__file__).parent
+    assert [u for path in sorted(package.glob("*.py")) for u in _unused_imports(path)] == []

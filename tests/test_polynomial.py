@@ -12,7 +12,6 @@ from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern, patte
 from hfactor.polynomial import (
     CopyPolynomial,
     concentration_trial,
-    derivative_expectation,
     derivative_profile,
     evaluate,
     expectation,
@@ -21,11 +20,7 @@ from hfactor.polynomial import (
 )
 from hfactor.rng import derive_seed
 
-from oracles import (
-    derivative_expectation_bruteforce,
-    derivative_profile_bruteforce,
-    evaluate_bruteforce,
-)
+from oracles import derivative_profile_bruteforce, evaluate_bruteforce
 
 K2 = complete_pattern(2)
 K3 = complete_pattern(3)
@@ -53,17 +48,9 @@ def test_expectation_injection_basis():
     assert expectation(f, 0.5) == pytest.approx(4 * 3 * 0.125)
 
 
-def test_derivative_examples():
-    f = triangles_at(0)
-    assert derivative_expectation(f, [(0, 1)], 0.5) == pytest.approx(3 * 0.25)
-    assert derivative_expectation(f, [], 0.5) == expectation(f, 0.5)
-    # an edge disjoint from every anchored copy
-    f_edges = edges_at(0)
-    assert derivative_expectation(f_edges, [(1, 2)], 0.5) == 0.0
-
-
 def test_derivative_matches_bruteforce():
-    # oracle: explicit term histogram from all pinned injections
+    # oracle: explicit term histogram from all pinned injections, maximized
+    # over every set of host edges of each size
     f = triangles_at(1, n=6, collapse=False)
     p = 0.4
     terms = []
@@ -71,10 +58,14 @@ def test_derivative_matches_bruteforce():
     for a, b in itertools.permutations(others, 2):
         img = {0: 1, 1: a, 2: b}
         terms.append(frozenset(tuple(sorted((img[x], img[y]))) for x, y in K3.edges))
+    prof = derivative_profile(f, p)
+    assert prof["expectation"] == pytest.approx(len(terms) * p**3)
     for size in (1, 2, 3):
-        for fixed in itertools.combinations(itertools.combinations(range(6), 2), size):
-            want = sum(1 for t in terms if frozenset(fixed) <= t) * p ** (3 - size)
-            assert derivative_expectation(f, fixed, p) == pytest.approx(want)
+        want = max(
+            sum(1 for t in terms if frozenset(fixed) <= t)
+            for fixed in itertools.combinations(itertools.combinations(range(6), 2), size)
+        )
+        assert prof["e_by_order"][size] == pytest.approx(want * p ** (3 - size))
 
 
 def test_profile_edges():
@@ -113,10 +104,9 @@ def test_monotonicity_in_p(p1, p2):
         p1, p2 = p2, p1
     f = triangles_at(0, n=6, collapse=False)
     assert expectation(f, p1) <= expectation(f, p2) + 1e-12
-    for fixed in ([(0, 1)], [(1, 2)], [(0, 1), (0, 2)]):
-        lo = derivative_expectation(f, fixed, p1)
-        hi = derivative_expectation(f, fixed, p2)
-        assert lo <= hi + 1e-12
+    lo, hi = derivative_profile(f, p1)["e_by_order"], derivative_profile(f, p2)["e_by_order"]
+    for j in lo:
+        assert lo[j] <= hi[j] + 1e-12
 
 
 def test_counting_consistency_at_p_one():
@@ -284,7 +274,6 @@ def test_profile_counts_do_not_depend_on_n(pat, pins, monkeypatch):
         for collapse in (False, True):
             f = CopyPolynomial(pat, n, ConstraintSpec(pins, pat.edges), collapse)
             expectation(f, 0.3)
-            derivative_expectation(f, [(1, 2)], 0.3)
             derivative_profile(f, 0.3)
         assert {g.n for g in hosts} == {pat.v}
         calls.append(len(hosts))
@@ -341,18 +330,6 @@ def test_profile_matches_injection_oracle(pat):
 
 
 @pytest.mark.parametrize("pat", PROFILE_PATTERNS.values(), ids=PROFILE_PATTERNS.keys())
-def test_derivative_expectation_matches_injection_oracle(pat):
-    # every set of at most two edges of a seeded host
-    g = sample_gnp(pat.k, 7, 0.5, derive_seed(77, pat.k, pat.v, pat.m))
-    fixed_sets = [sub for r in range(3) for sub in itertools.combinations(g.edges, r)]
-    for f in _polynomials(pat, [7], every_subset=False):
-        for fixed in fixed_sets:
-            if len(fixed) <= f.degree:
-                got = derivative_expectation(f, fixed, 0.37)
-                assert got == derivative_expectation_bruteforce(f, fixed, 0.37)
-
-
-@pytest.mark.parametrize("pat", PROFILE_PATTERNS.values(), ids=PROFILE_PATTERNS.keys())
 def test_evaluate_matches_injection_oracle(pat):
     hosts = [sample_gnp(pat.k, 7, 0.6, derive_seed(78, pat.k, pat.v, t)) for t in range(4)]
     for f in _polynomials(pat, [7], every_subset=False):
@@ -392,17 +369,6 @@ def test_regularity_profiles_once_per_pin_set_and_edge_subset(monkeypatch):
     # K3: 7 edge subsets with no pin, 3 x 7 with one pin, 3 x 3 with two
     assert len(calls) == 37
     assert rep["part_a"]["family_size"] == 475
-
-
-@pytest.mark.parametrize(
-    "edge",
-    [(0, 1, 2), (3, 3), (0, 9)],
-    ids=["wrong-arity", "repeated-vertex", "out-of-range"],
-)
-def test_derivative_expectation_rejects_bad_edges(edge):
-    f = CopyPolynomial(pattern=K3, n=6)
-    with pytest.raises(InputError):
-        derivative_expectation(f, [edge], 0.5)
 
 
 @pytest.mark.parametrize("image", [6, 999, -5])
