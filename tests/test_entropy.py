@@ -18,6 +18,34 @@ K2 = complete_pattern(2)
 K3 = complete_pattern(3)
 
 
+def oracle_entropies(factors, n):
+    # h(y) is the entropy of the copy covering y in a uniform random factor:
+    # tally that copy per vertex over every labeled factor
+    hits = [Counter() for _ in range(n)]
+    for factor in factors:
+        for copy in factor:
+            for y in copy:
+                hits[y][copy] += 1
+    return [-sum(c / len(factors) * math.log(c / len(factors)) for c in hits[y].values())
+            for y in range(n)]
+
+
+def test_copy_distribution_matches_factor_enumeration():
+    # the entropy of the copy covering y, read off an independent
+    # enumeration of every labeled factor, is shearer_check's h(y)
+    checked = 0
+    for seed in range(8):
+        g = sample_gnp(2, 6, 0.8, derive_seed(21, seed))
+        factors = factor_list(K2, g)
+        if not factors:
+            continue
+        rep = shearer_check(K2, g)
+        for h, oracle_h in zip(rep["per_vertex_entropy"], oracle_entropies(factors, g.n), strict=True):
+            assert h == pytest.approx(oracle_h)
+        checked += 1
+    assert checked > 0
+
+
 def test_shearer_examples():
     rep = shearer_check(K2, complete_host(2, 4))
     assert rep["log_factor_count"] == pytest.approx(math.log(12))
@@ -29,8 +57,6 @@ def test_shearer_examples():
 
 
 def test_shearer_random_battery():
-    # h(y) is the entropy of the copy covering y in a uniform random factor:
-    # the oracle lists every labeled factor and tallies that copy per vertex
     checked = 0
     for pat, n, p in [(K2, 8, 0.6), (K2, 10, 0.5), (K3, 6, 0.8), (K3, 9, 0.75),
                       (path_pattern(3), 9, 0.6), (cycle_pattern(4), 8, 0.7),
@@ -40,15 +66,9 @@ def test_shearer_random_battery():
             factors = factor_list(pat, g)
             if not factors:
                 continue
-            hits = [Counter() for _ in range(n)]
-            for factor in factors:
-                for copy in factor:
-                    for y in copy:
-                        hits[y][copy] += 1
             rep = shearer_check(pat, g)
             assert rep["slack"] >= -1e-9
-            for y, h in enumerate(rep["per_vertex_entropy"]):
-                oracle_h = -sum(c / len(factors) * math.log(c / len(factors)) for c in hits[y].values())
+            for h, oracle_h in zip(rep["per_vertex_entropy"], oracle_entropies(factors, n), strict=True):
                 assert oracle_h == pytest.approx(h, rel=0, abs=1e-12)
             checked += 1
             if checked % 5 == 0:
