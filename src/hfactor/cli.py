@@ -379,13 +379,13 @@ def _flags(command: str) -> dict[str, bool]:
     return {f.rstrip("!"): f.endswith("!") for f in (*_SHARED, *_COMMANDS[command][2].split())}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hfactor",
         description="Pattern-factor counting, deletion traces, and threshold experiments.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
+    for command in names:
         # no abbreviations: a flag of another command must not pass as a prefix of one here
         sub = commands.add_parser(command, allow_abbrev=False)
         for name, required in _flags(command).items():
@@ -427,7 +427,8 @@ def config_from_args(argv) -> argparse.Namespace:
     if path is not None and argv[0] in _COMMANDS:  # else the full parse rejects argv[0]
         # after the command name and ahead of the command line's flags, so those win
         argv[1:1] = _config_flags(path, argv[0])
-    cfg = build_parser().parse_args(argv)
+    # only the named command's subparser: -h, --help and a bad command list them all
+    cfg = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS).parse_args(argv)
     if cfg.workers < 1:
         raise InputError("workers must be at least 1")
     return cfg

@@ -140,7 +140,7 @@ class FactorCounter:
             by_min[lo] = [(m, emb - lost[m]) if m in lost else (m, emb)
                           for m, emb in by_min[lo] if emb != lost.get(m)]
         emask = sum(1 << x for x in key)
-        memo, known, terms = {}, self._memo, tuple(lost.items())
+        memo, known, terms, values = {}, self._memo, tuple(lost.items()), {}
         for m, c in known.items():
             if c and m & emask == emask:  # a count of 0 stays 0: no factor appears
                 for bmask, gone in terms:
@@ -149,7 +149,7 @@ class FactorCounter:
                             break
                         c -= gone * sub
                 else:
-                    memo[m] = c
+                    memo[m] = values.setdefault(c, c)
             else:
                 memo[m] = c
         memo.pop(self.full_mask, None)  # recounted from the carried blocks: run_process checks it
@@ -185,7 +185,7 @@ class FactorCounter:
         """Number of factors of the host induced on the masked vertex set."""
         mask = self.full_mask if mask is None else mask
         found = self._memo.get(mask)
-        return _fill(self._checked(mask), self._memo, self._blocks_by_min) if found is None else found
+        return _fill(self._checked(mask), self._memo, self._blocks_by_min, {}) if found is None else found
 
     def _checked(self, mask: int) -> int:
         if not 0 <= mask <= self.full_mask:
@@ -220,11 +220,13 @@ class FactorCounter:
         return max((sum(uses.values()) for uses in self._edge_index().values()), default=0)
 
 
-def _fill(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]]) -> int:
+def _fill(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]], values: dict[int, int]) -> int:
     """Count a mask missing from the memo, scanning each new state's blocks once.
 
-    A module function, not a closure: the recursion (depth <= n/v) never
-    re-enters count, and no reference cycle keeps a dropped counter's memo.
+    values maps each count stored so far in this call to its one int object, so
+    equal counts share it.  A module function, not a closure: the recursion
+    (depth <= n/v) never re-enters count, and no reference cycle keeps a dropped
+    counter's memo.
     """
     total = 0
     for bmask, emb in blocks[(m & -m).bit_length() - 1]:
@@ -232,9 +234,9 @@ def _fill(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]]) -> 
             rest = m ^ bmask
             sub = memo.get(rest)
             if sub is None:
-                sub = _fill(rest, memo, blocks)
+                sub = _fill(rest, memo, blocks, values)
             total += emb * sub
-    memo[m] = total
+    memo[m] = total = values.setdefault(total, total)
     return total
 
 

@@ -19,7 +19,7 @@ import pytest
 
 from oracles import binomial_mixture_estimate, partition_factor_count
 
-from hfactor.embed import ConstraintSpec, constrained_count, full_constraint
+from hfactor.embed import ConstraintSpec, constrained_count
 from hfactor.entropy import WeightedFamily, entropy_window, shearer_check, weight_lemma_check
 from hfactor.factor import FactorCounter, complete_graph_count, count_factors
 from hfactor.host import complete_host, host_from_edges, sample_gnp
@@ -27,7 +27,7 @@ from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern, singl
 from hfactor.polynomial import CopyPolynomial, derivative_profile, evaluate, expectation
 from hfactor.process import run_process, verify_martingale_step
 from hfactor.rng import derive_seed
-from hfactor.thresholds import compare_models, coverage_check, role_coverage_check, threshold_scan
+from hfactor.thresholds import compare_models, threshold_scan
 
 K2 = complete_pattern(2)
 K3 = complete_pattern(3)

@@ -317,6 +317,24 @@ def test_without_edge_recounts_full_count_from_corrected_memo():
     assert len(child._memo) == states + 1
 
 
+def _one_object_per_value(counts):
+    # some counts repeat, above the small ints CPython keeps one object of anyway
+    assert len(counts) > len(set(counts)) and max(counts) > 256
+    return len({id(c) for c in counts}) == len(set(counts))
+
+
+def test_memo_keeps_each_distinct_count_once():
+    # on the complete host every mask of one size has the same count
+    g = complete_host(2, 12)
+    counter = FactorCounter(K2, g)
+    counter.count()
+    assert _one_object_per_value(list(counter._memo.values()))
+    e = (10, 11)  # the masks of one size through e are corrected to one value
+    emask = sum(1 << x for x in e)
+    child = counter.without_edge(e)
+    assert _one_object_per_value([c for m, c in child._memo.items() if m & emask == emask])
+
+
 def _carried_state(counter):
     """Deep copies of what without_edge reads from a counter."""
     index = counter._edge_index()  # also builds the copy groups of each block
