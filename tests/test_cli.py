@@ -14,7 +14,7 @@ from hfactor.cli import main
 
 K3_TEXT = "graph 3\n0 1\n1 2\n0 2\n"
 K2_TEXT = "graph 2\n0 1\n"
-P3_TEXT = "graph 3\n0 1\n1 2\n"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -217,44 +217,47 @@ def test_regularity(k3_file, capsys):
     assert "part_a" in rep and "part_b" in rep
 
 
-POLY_ANCHORED = ["poly", "--n", "8", "--p", "0.5", "--anchor-role", "0", "--anchor-vertex", "0"]
-POLY_CHECK = ["--mode", "check", "--theorem", "all-order", "--eps", "0.3"]
+# Every pinned CLI output: id, argv without --pattern, the pattern (a repo
+# path, or the file's text when it holds a newline), the SHA-256 of stdout and
+# why it is pinned. A digest is re-recorded only by a change meant to alter
+# those bytes.
+GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text())
 
 
-REGULARITY_N40 = ["regularity", "--n", "40", "--p", "0.3", "--seed", "3", "--eps", "0.5", "--beta", "20"]
+def golden_argv(entry, pattern_path):
+    return [entry["argv"][0], "--pattern", pattern_path, *entry["argv"][1:]]
 
 
-@pytest.mark.parametrize(
-    "args,pattern_text,digest",
-    [
-        (["regularity", "--n", "12", "--p", "0.8", "--seed", "3", "--eps", "0.5", "--beta", "20"],
-         K3_TEXT, "e28338285e4986aaacf5cf1537356f17f7b9a1f9e75120fe968796207f8bbfff"),
-        (REGULARITY_N40, K3_TEXT,
-         "ada85b7e8eee3c2ba2c693ca438060b1df840c399362fb27edb05c0f2bbb759b"),
-        (REGULARITY_N40, P3_TEXT,
-         "c512eefa82c92f84e5097dc4567001fe49343322a28a1f5f29806b3803170aee"),
-        (POLY_ANCHORED + ["--mode", "profile"],
-         K3_TEXT, "aa10d3432370df4141032ff27a2d8710f373baf27a668a332cefa6b4c258a2b0"),
-        (POLY_ANCHORED + POLY_CHECK,
-         K3_TEXT, "23c770418abc5512fe9eb16a5ae64e13d03e854738c168fe719b1f215d653d95"),
-        (POLY_ANCHORED + ["--mode", "profile", "--collapse"],
-         K3_TEXT, "de5cf4fb671f2bb72465bb1660b3a76faea36c633c35365c15e66ec1c7b3af9f"),
-        (POLY_ANCHORED + POLY_CHECK + ["--collapse"],
-         K3_TEXT, "60dbb688076392345e475457a393323ef65b182243f1172f620048ed7ed9c692"),
-    ],
-    ids=["regularity", "regularity-k3-n40", "regularity-p3-n40", "poly-profile", "poly-check",
-         "poly-profile-collapse", "poly-check-collapse"],
-)
-def test_golden_digests(args, pattern_text, digest, tmp_path, capsys):
-    # SHA-256 of the stdout bytes, recorded before the derivative profile
-    # stopped enumerating the host (K3 at n=12 and the poly runs) and before
-    # the regularity report computed one profile per (A, E') (the n=40 runs,
-    # which sample pin images and skip cases over the work cap)
-    path = tmp_path / "pattern.txt"
-    path.write_text(pattern_text)
-    code, out, _ = run_cli(args + ["--pattern", str(path)], capsys)
+@pytest.mark.parametrize("entry", GOLDEN, ids=[e["id"] for e in GOLDEN])
+def test_golden_digests(entry, tmp_path, capsys):
+    if "\n" in entry["pattern"]:
+        path = tmp_path / "pattern.txt"
+        path.write_text(entry["pattern"])
+    else:
+        path = ROOT / entry["pattern"]
+    code, out, _ = run_cli(golden_argv(entry, str(path)), capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
+
+
+def test_golden_manifest_agrees_with_perfbench_and_ci_pins_nothing():
+    # a command perfbench pins too, keyed without its worker count, has the same digest there
+    perfbench = {}
+    for workload in json.loads((ROOT / "perfbench" / "digests.json").read_text()).values():
+        perfbench.update(workload)
+    shared = []
+    for entry in GOLDEN:
+        argv = golden_argv(entry, entry["pattern"])
+        i = argv.index("--workers") if "--workers" in argv else len(argv)
+        key = " ".join(argv[:i] + argv[i + 2:])
+        if key in perfbench:
+            shared.append(entry["id"])
+            assert perfbench[key] == entry["sha256"], entry["id"]
+    assert shared
+    # and no digest is pinned inline in CI again
+    for path in (ROOT / ".github").rglob("*"):
+        if path.is_file():
+            assert not re.search(r"\b[0-9a-f]{64}\b", path.read_text()), path
 
 
 def test_config_file_with_flag_override(k3_file, tmp_path, capsys):
@@ -647,7 +650,7 @@ def test_regularity_needs_host_or_n(k3_file, capsys):
     assert (code, out, err) == (1, "", "error: regularity needs --host or --n\n")
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = ROOT / "README.md"
 
 
 def test_readme_cli_examples_parse():

@@ -2,9 +2,9 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
-from conftest import graph_hosts, graph_patterns
+from conftest import graph_hosts, graph_patterns, hypergraph_patterns
 from oracles import block_embeddings, copy_degree, injection_copies
 
 from hfactor.embed import (
@@ -40,11 +40,14 @@ def test_enumerate_is_sorted_and_valid():
     assert len(set(copies)) == len(copies)
 
 
-@given(graph_patterns(max_v=4), graph_hosts(max_n=6))
-def test_enumerate_matches_bruteforce(p, g):
-    if p.k != g.k:
-        return
-    assert enumerate_copies(p, g) == sorted(injection_copies(p, g))
+# twice the default examples, so the graph cases keep their share
+@settings(max_examples=80)
+@given(st.one_of(st.tuples(graph_patterns(max_v=4), graph_hosts(max_n=6)), hypergraph_patterns()))
+def test_enumerate_matches_bruteforce(case):
+    p, g = case
+    copies = sorted(injection_copies(p, g))
+    assert enumerate_copies(p, g) == copies
+    assert role_images(p, g) == [{c[r] for c in copies} for r in range(p.v)]
 
 
 def test_copy_degree_examples():
