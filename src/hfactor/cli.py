@@ -29,12 +29,6 @@ from .errors import InputError, InvariantError
 
 
 def _fmt_float(x: float) -> str:
-    if x != x:
-        return "nan"
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
     return format(x, ".17g")
 
 
@@ -49,10 +43,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
-    if isinstance(obj, float):
-        if obj in (math.inf, -math.inf) or obj != obj:
-            return _fmt_float(obj)
-        return obj
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return _fmt_float(obj)
     return obj
 
 

@@ -46,20 +46,14 @@ def _entropy_from_weights(weights, total) -> float:
 
 def _vertex_entropies(counter: FactorCounter) -> list[float]:
     """h(y) for every vertex from block-level weights; weights repeat per embedding."""
-    n = counter.host.n
     total = counter.count()
-    per_vertex = [[] for _ in range(n)]
+    out = [0.0] * counter.host.n
     for (bmask, emb), w in zip(counter.block_items(), counter.block_weights()):
         if w > 0:
-            for x in mask_bits(bmask):
-                per_vertex[x].append((w, emb))
-    out = []
-    for x in range(n):
-        h = 0.0
-        for w, emb in per_vertex[x]:
             q = w / total
-            h -= emb * q * math.log(q)
-        out.append(h)
+            term = emb * q * math.log(q)
+            for x in mask_bits(bmask):
+                out[x] -= term
     return out
 
 

@@ -200,11 +200,10 @@ def density_profile(p: PatternGraph) -> DensityReport:
             max_density = max(max_density, d_sub)
             if size < p.v:
                 proper_max = max(proper_max, d_sub)
+            # sizes ascend, so a later subset of equal density has no fewer edges
             for x in subset:
                 if best[x] is None or d_sub > best[x]:
                     best[x] = d_sub
-                    fewest[x] = e_in
-                elif d_sub == best[x] and e_in < fewest[x]:
                     fewest[x] = e_in
     per_vertex = {x: (best[x], fewest[x]) for x in range(p.v)}
     if proper_max < d:

@@ -195,6 +195,21 @@ def test_hypothesis_check_small_ceiling():
     assert rep["passes"] == (29 * 1e-4 <= 30**-0.5)
 
 
+def test_hypothesis_check_absolute_low_order():
+    n, eps = 30, 0.25
+    f = triangles_at(0, n=n, collapse=False)
+    outcomes = set()
+    for p, omega in [(0.01, 1e-4), (0.01, 1.0), (0.5, 1.0)]:
+        rep = hypothesis_check(f, p, eps, "absolute-low-order", omega_threshold=omega)
+        prof = derivative_profile(f, p)
+        norm = prof["normalization"]
+        low = max(prof["e_by_order"][j] for j in (1, 2)) / norm
+        assert rep["binding_ratio"] == low * n**eps
+        assert rep["passes"] == (prof["expectation"] / norm > omega and low <= n**-eps)
+        outcomes.add(rep["passes"])
+    assert outcomes == {True, False}
+
+
 def test_hypothesis_check_unknown():
     with pytest.raises(InputError):
         hypothesis_check(edges_at(0), 0.5, 0.5, "Nope")
@@ -369,6 +384,12 @@ def test_regularity_profiles_once_per_pin_set_and_edge_subset(monkeypatch):
     # K3: 7 edge subsets with no pin, 3 x 7 with one pin, 3 x 3 with two
     assert len(calls) == 37
     assert rep["part_a"]["family_size"] == 475
+    assert {c["branch"] for c in rep["part_a"]["cases"]} == {"large_expectation"}
+    # at small p some ceilings E* fall below n^-eps, and those cases are held to beta
+    rep = regularity_report(K3, sample_gnp(2, 12, 0.05, 3), 0.05, eps=0.5, beta=20.0, seed=3)
+    small = [c for c in rep["part_a"]["cases"] if c["branch"] == "small_expectation"]
+    assert len(small) == 108
+    assert all(c["bound"] == 20.0 and c["e_star"] <= c["low_threshold"] for c in small)
 
 
 @pytest.mark.parametrize("image", [6, 999, -5])
