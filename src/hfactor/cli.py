@@ -388,7 +388,7 @@ def build_parser(names=_COMMANDS) -> argparse.ArgumentParser:
 def _config_flags(path: str, command: str) -> list[str]:
     """The config keys the command reads as flags: ``--key=value``, lists comma-joined, true bare.
 
-    A key that only other commands read is skipped, so one file can serve several commands.
+    Skipped: a key only other commands read (one file serves several), and a switch set to false.
     """
     try:
         raw = json.loads(_read_text(path))
@@ -403,7 +403,7 @@ def _config_flags(path: str, command: str) -> list[str]:
         # the command is positional only, so a file cannot replace it
         if name not in _FLAGS or name == "config":
             raise InputError(f"unknown config key {key!r}")
-        if name not in reads:
+        if name not in reads or value is False and _FLAGS[name].get("action") == "store_true":
             continue
         if isinstance(value, list):
             value = ",".join(map(str, value))

@@ -54,9 +54,9 @@ class ConstraintSpec:
         return tuple(a for a, _ in self.pins)
 
 
-def full_constraint(pattern: PatternGraph, pins=()) -> ConstraintSpec:
-    """All pattern edges constrained; optional pins."""
-    return ConstraintSpec(pins=tuple(pins), constrained_edges=pattern.edges)
+def full_constraint(pattern: PatternGraph) -> ConstraintSpec:
+    """All pattern edges constrained, no pins."""
+    return ConstraintSpec(pins=(), constrained_edges=pattern.edges)
 
 
 def _check_arity(pattern: PatternGraph, g: HostGraph) -> None:

@@ -35,15 +35,6 @@ class WeightedFamily:
             raise InputError("weights must be finite and nonnegative")
 
 
-def _entropy_from_weights(weights, total) -> float:
-    h = 0.0
-    for w in weights:
-        if w > 0:
-            q = w / total
-            h -= q * math.log(q)
-    return h
-
-
 def _vertex_entropies(counter: FactorCounter) -> list[float]:
     """h(y) for every vertex from block-level weights; weights repeat per embedding."""
     total = counter.count()
@@ -96,7 +87,9 @@ def entropy_window(family: WeightedFamily) -> dict:
         raise InputError("family has no positive weights")
     size = len(kept)
     total = sum(w for _, w in kept)
-    entropy = _entropy_from_weights((w for _, w in kept), total)
+    entropy = 0.0
+    for q in (w / total for _, w in kept):
+        entropy -= q * math.log(q)
     deficit = math.log(size) - entropy
     deficit = max(deficit, 0.0)  # clip float negatives of order 1e-16
     log_c = 4.0 * (deficit + math.log(3.0))

@@ -50,17 +50,14 @@ class FactorCounter:
     Blocks (v-subsets that host at least one copy) are precomputed with their
     embedding multiplicities; count(mask) then counts partitions of the
     vertices selected by mask into blocks, weighted by multiplicity.  Every
-    pattern kind keeps one table of copy groups per block (block mask -> {host
-    edges a copy uses: copies}), built on first use with the per-edge index;
-    without_edge carries both, the copy degrees and a copy of the weight bounds
-    (block mask -> upper bound on its weight): a deletion only removes copies.
+    pattern kind keeps one deletion table, built on first use: the copy groups
+    of each block (block mask -> {host edges a copy uses: copies}), the
+    per-edge index and the copy degrees.  without_edge carries it and a copy of
+    the weight bounds (block mask -> upper bound on its weight): a deletion
+    only removes copies.
     """
 
     def __init__(self, pattern: PatternGraph, g: HostGraph, *, _carried=None):
-        if pattern.k != g.k:
-            raise InputError(
-                f"pattern arity {pattern.k} does not match host arity {g.k}"
-            )
         check_cap(pattern, g.n)
         self.pattern = pattern
         self.host = g
@@ -73,37 +70,34 @@ class FactorCounter:
                     m |= 1 << x
                 by_min[block[0]].append((m, emb))
             # exact counts, and 0 for every mask exists() found no factor on
-            _carried = (by_min, None, None, None, {0: 1}, {})
-        self._blocks_by_min, self._copies, self._index, self._degrees, self._memo, self._bounds = _carried
+            _carried = (by_min, None, {0: 1}, {})
+        self._blocks_by_min, self._table, self._memo, self._bounds = _carried
         # host_blocks order is lexicographic, so by lowest vertex first
         self._blocks = list(itertools.chain.from_iterable(self._blocks_by_min))
 
-    def _edge_index(self) -> dict[tuple[int, ...], dict[int, int]]:
-        """Host edge -> {block mask: its labeled copies using the edge}, built with _copies on first use."""
-        if self._index is None:
+    def _deletion_table(self):
+        """(copy groups, host edge -> {block mask: its labeled copies using the edge}, copy degrees)."""
+        if self._table is None:
             p = self.pattern
             if p.is_complete():
                 # every embedding of a complete pattern uses every k-subset of its block
-                self._copies = {m: {frozenset(itertools.combinations(mask_bits(m), p.k)): emb}
-                                for m, emb in self._blocks}
+                copies = {m: {frozenset(itertools.combinations(mask_bits(m), p.k)): emb}
+                          for m, emb in self._blocks}
             else:
-                self._copies = {}
+                copies = {}
                 for c in enumerate_copies(p, self.host):
                     edges = frozenset(tuple(sorted(c[x] for x in pe)) for pe in p.edges)
-                    groups = self._copies.setdefault(sum(1 << x for x in c), {})
+                    groups = copies.setdefault(sum(1 << x for x in c), {})
                     groups[edges] = groups.get(edges, 0) + 1
-            self._index = {}
-            for bmask, groups in self._copies.items():
+            index = {}
+            for bmask, groups in copies.items():
                 for edges, c in groups.items():
                     for f in edges:
-                        uses = self._index.setdefault(f, {})
+                        uses = index.setdefault(f, {})
                         uses[bmask] = uses.get(bmask, 0) + c
-        return self._index
-
-    def _vertex_degrees(self) -> list[int]:
-        if self._degrees is None:
-            self._degrees = block_degrees(self.host.n, ((mask_bits(m), emb) for m, emb in self._blocks))
-        return self._degrees
+            degrees = block_degrees(self.host.n, ((mask_bits(m), emb) for m, emb in self._blocks))
+            self._table = (copies, index, degrees)
+        return self._table
 
     def without_edge(self, e) -> FactorCounter:
         """Counter on the host minus edge e, carried over from this one, which is left unchanged.
@@ -115,8 +109,8 @@ class FactorCounter:
         using e), read from this memo; m is dropped if a term is missing, and so is the full count.
         """
         key = tuple(sorted(e))
-        parent = self._edge_index()
-        index, degrees, copies = dict(parent), list(self._vertex_degrees()), dict(self._copies)
+        copies, parent, degrees = self._deletion_table()
+        copies, index, degrees = dict(copies), dict(parent), list(degrees)
         lost = parent.get(key, {})  # block mask -> its copies using e
         for bmask, gone in lost.items():
             for x in mask_bits(bmask):
@@ -153,7 +147,7 @@ class FactorCounter:
             else:
                 memo[m] = c
         memo.pop(self.full_mask, None)  # recounted from the carried blocks: run_process checks it
-        carried = (by_min, copies, index, degrees, memo, dict(self._bounds))
+        carried = (by_min, (copies, index, degrees), memo, dict(self._bounds))
         return FactorCounter(self.pattern, self.host.without_edge(key), _carried=carried)
 
     def block_items(self):
@@ -202,7 +196,7 @@ class FactorCounter:
         if not self.host.has_edge(key):
             raise InputError(f"edge {key} not present")
         full = self.full_mask
-        uses = self._edge_index().get(key, {})
+        uses = self._deletion_table()[1].get(key, {})
         return sum(using * self.count(full & ~bmask) for bmask, using in uses.items())
 
     def exists(self, mask: int | None = None) -> bool:
@@ -213,11 +207,11 @@ class FactorCounter:
 
     def copy_vertex_degrees(self) -> list[int]:
         """Labeled copies through each vertex, summed from block multiplicities."""
-        return list(self._vertex_degrees())
+        return list(self._deletion_table()[2])
 
     def copies_per_edge_max(self) -> int:
         """max over host edges of the number of labeled copies using that edge."""
-        return max((sum(uses.values()) for uses in self._edge_index().values()), default=0)
+        return max((sum(uses.values()) for uses in self._deletion_table()[1].values()), default=0)
 
 
 def _fill(m: int, memo: dict[int, int], blocks: list[list[tuple[int, int]]], values: dict[int, int]) -> int:

@@ -173,9 +173,7 @@ def _parse_edge(line: str, k: int) -> tuple[int, ...]:
 
 
 def density(p: PatternGraph) -> Fraction:
-    """Edge count over vertex count minus one, as an exact rational."""
-    if p.v < 2:
-        raise InputError("density needs at least two vertices")
+    """Edge count over vertex count minus one, as an exact rational (v >= k >= 2)."""
     return Fraction(p.m, p.v - 1)
 
 

@@ -27,6 +27,6 @@ def derive_seed(seed: int, *indices: int) -> int:
     return z
 
 
-def rng_for(seed: int, *indices: int) -> random.Random:
-    """A fresh generator on the derived stream."""
-    return random.Random(derive_seed(seed, *indices) if indices else seed & _MASK64)
+def rng_for(seed: int) -> random.Random:
+    """A fresh generator on the stream of seed; pass derive_seed(seed, ...) for a child stream."""
+    return random.Random(seed & _MASK64)

@@ -225,7 +225,7 @@ def binomial_mixture_estimate(p: PatternGraph, n: int, prob: float, trials: int,
     total = total_edges(p.k, n)
     hits = 0
     for t in range(trials):
-        rng = rng_for(seed, 5, t)
+        rng = rng_for(derive_seed(seed, 5, t))
         m_edges = sum(rng.random() < prob for _ in range(total))
         hits += has_factor(p, sample_gnm(p.k, n, m_edges, derive_seed(seed, 6, t)))
     est = hits / trials

@@ -403,6 +403,23 @@ def test_config_file_matches_flags(command, k2_file, k3_file, tmp_path, capsys):
     assert from_file
 
 
+@pytest.mark.parametrize("command, switch", [("poly", "collapse"), ("models", "sweep")])
+def test_config_switch_set_to_false_is_left_off(command, switch, k2_file, k3_file, tmp_path, capsys):
+    # the bytes of the same file without the key, not an error on "--switch=False"
+    pattern = k2_file if command == "models" else k3_file
+    file_values = {k: pattern if v == "PATTERN" else v
+                   for k, v in CONFIG_CASES[command][0].items() if k != switch}
+    outputs = []
+    for values in (file_values, {**file_values, switch: False}):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        code, out, err = run_cli([command, "--config", str(config)], capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
+
+
 @pytest.mark.parametrize(
     "file_values",
     [{"format": "xml"}, {"n": "six"}, {"collapse": "no"}, {"pattern_path": "p.txt"},

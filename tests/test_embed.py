@@ -150,12 +150,19 @@ def test_regularity_part_b_complete():
     rep = degree_regularity(K3, complete_host(2, 8), 1.0, eps=0.5)
     assert rep["max_relative_deviation"] == 0.0
     assert rep["holds"]
+    # at p = 0 no copy is expected, so any copy is an unbounded deviation
+    rep = degree_regularity(K3, complete_host(2, 8), 0.0, eps=0.5)
+    assert rep["max_relative_deviation"] == math.inf
+    assert not rep["holds"]
 
 
 def test_regularity_part_b_empty():
     rep = degree_regularity(K3, host_from_edges(2, 6, []), 0.5, eps=0.5)
     assert rep["max_relative_deviation"] == 1.0
     assert not rep["holds"]
+    rep = degree_regularity(K3, host_from_edges(2, 6, []), 0.0, eps=0.5)
+    assert rep["max_relative_deviation"] == 0.0
+    assert rep["holds"]
 
 
 def test_regularity_part_a_complete_small():
@@ -219,7 +226,7 @@ def test_copy_search_matches_injection_oracle(p):
 
 @pytest.mark.parametrize("p", DIFF_PATTERNS, ids=lambda p: f"k{p.k}v{p.v}m{p.m}")
 def test_constrained_count_matches_injection_oracle(p):
-    rng = rng_for(4243, p.k, p.v)
+    rng = rng_for(derive_seed(4243, p.k, p.v))
     subsets = [
         sub for r in range(1, p.m + 1) for sub in itertools.combinations(p.edges, r)
     ]
@@ -246,9 +253,16 @@ def test_host_blocks_match_block_oracle(p):
     # lexicographic order; K2 takes the single-edge path, K3 and K4 the clique
     # search, the other patterns grouped copies
     for g in _diff_hosts(p) + [complete_host(p.k, 7)]:
-        want = [
-            (b, block_embeddings(p, g, b))
-            for b in itertools.combinations(range(g.n), p.v)
-            if block_embeddings(p, g, b)
-        ]
-        assert host_blocks(p, g) == want
+        assert host_blocks(p, g) == _oracle_blocks(p, g)
+
+
+@given(st.one_of(st.tuples(graph_patterns(max_v=4), graph_hosts(max_n=7)), hypergraph_patterns()))
+def test_random_host_blocks_match_block_oracle(case):
+    p, g = case
+    assert host_blocks(p, g) == _oracle_blocks(p, g)
+
+
+def _oracle_blocks(p, g):
+    return [
+        (b, emb) for b in itertools.combinations(range(g.n), p.v) if (emb := block_embeddings(p, g, b))
+    ]

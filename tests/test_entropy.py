@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import factor_list, weight_lemma_hypothesis_bruteforce
 
 from hfactor.entropy import WeightedFamily, entropy_window, shearer_check, weight_lemma_check
-from hfactor.errors import InputError
-from hfactor.host import complete_host, sample_gnp
+from hfactor.errors import InputError, NoFactorError
+from hfactor.host import complete_host, host_from_edges, sample_gnp
 from hfactor.pattern import complete_pattern, cycle_pattern, path_pattern, single_edge_pattern
 from hfactor.rng import derive_seed
 
@@ -54,6 +54,8 @@ def test_shearer_examples():
     # single-block host: equality
     rep = shearer_check(K3, complete_host(2, 3))
     assert rep["slack"] == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(NoFactorError, match="no factor"):
+        shearer_check(K2, host_from_edges(2, 4, [(1, 2), (1, 3), (2, 3)]))  # vertex 0 isolated
 
 
 def test_shearer_random_battery():
@@ -194,3 +196,5 @@ def test_weight_lemma_validation():
         weight_lemma_check(3, 3, {}, 1.0)
     with pytest.raises(InputError):
         weight_lemma_check(6, 3, {(0, 1): 1.0}, 1.0)
+    with pytest.raises(InputError, match="duplicate weight key"):
+        weight_lemma_check(6, 3, {(0, 1, 2): 1.0, (2, 1, 0): 2.0}, 1.0)

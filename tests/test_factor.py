@@ -49,8 +49,10 @@ def test_count_validation():
         count_factors(K3, complete_host(2, 7))
     with pytest.raises(InputError):
         count_factors(K2, complete_host(2, 26))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="pattern arity 2 does not match host arity 3"):
         count_factors(K2, complete_host(3, 6))
+    with pytest.raises(InputError, match=r"edge \(1, 2\) not present"):
+        FactorCounter(K3, host_from_edges(2, 6, [(0, 1)])).count_using_edge((2, 1))
 
 
 def test_count_rejects_mask_outside_host():
@@ -281,9 +283,8 @@ def test_without_edge_matches_fresh_counter(p, n):
             # every memo entry carried over, corrected through e or kept as it was, is exact
             assert carried._memo == {m: fresh.count(m) for m in carried._memo}
             assert carried.block_items() == fresh.block_items()
-            # the carried copy groups and per-edge index are exactly the fresh ones
-            assert carried._edge_index() == fresh._edge_index()
-            assert carried._copies == fresh._copies
+            # the carried copy groups, per-edge index and copy degrees are exactly the fresh ones
+            assert carried._deletion_table() == fresh._deletion_table()
             masks = [fresh.full_mask] + [fresh.full_mask & ~b for b, _ in fresh.block_items()]
             # existence first, so failed masks are memoized before the counts
             for counter in (carried, fresh):
@@ -337,13 +338,13 @@ def test_memo_keeps_each_distinct_count_once():
 
 def _carried_state(counter):
     """Deep copies of what without_edge reads from a counter."""
-    index = counter._edge_index()  # also builds the copy groups of each block
+    copies, index, degrees = counter._deletion_table()
     return (
         list(counter.block_items()),
         [list(items) for items in counter._blocks_by_min],
-        {m: dict(groups) for m, groups in counter._copies.items()},
+        {m: dict(groups) for m, groups in copies.items()},
         {e: dict(uses) for e, uses in index.items()},
-        counter.copy_vertex_degrees(),
+        list(degrees),
         dict(counter._memo),
         dict(counter._bounds),
     )
@@ -369,6 +370,54 @@ def test_without_edge_leaves_parent_unchanged(p, n):
         child.copy_vertex_degrees()
         child.max_block_weight()
     assert _carried_state(counter) == before
+
+
+@st.composite
+def graph_pattern_hosts(draw):
+    """A graph pattern on v <= 4 vertices and a G(n, p) host whose n >= 2v is a multiple of v."""
+    p = draw(graph_patterns(max_v=4))
+    n = p.v * draw(st.integers(min_value=2, max_value=8 // p.v))
+    return p, sample_gnp(2, n, draw(st.sampled_from([0.5, 0.7, 0.9])), draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def carry_walks(draw):
+    """A graph or 3-uniform pattern, a host of two or more blocks, and up to three steps
+    of (edge to delete, edges a sibling branch deletes instead)."""
+    p, g = draw(st.one_of(graph_pattern_hosts(), hypergraph_patterns().filter(lambda case: case[1].n > case[0].v)))
+    return p, g, [(e, draw(st.permutations(g.edges))[:2]) for e in draw(st.permutations(g.edges))[:3]]
+
+
+def _matches_fresh(counter):
+    """A carried counter against one built afresh on its host."""
+    fresh = FactorCounter(counter.pattern, counter.host)
+    # the bounded search first, while the memo holds only what the carry left
+    assert counter.max_block_weight() == max(fresh.block_weights(), default=0)
+    assert counter._memo == {m: fresh.count(m) for m in counter._memo}
+    assert counter.block_items() == fresh.block_items()
+    assert counter.block_weights() == fresh.block_weights()
+    assert counter._deletion_table() == fresh._deletion_table()
+    assert counter.copies_per_edge_max() == fresh.copies_per_edge_max()
+    edges = counter.host.edges
+    assert [counter.count_using_edge(e) for e in edges] == [fresh.count_using_edge(e) for e in edges]
+
+
+@given(carry_walks())
+def test_random_patterns_carry_like_fresh_counters(walk):
+    # each counter's children are made before its checks fill its memo, and a sibling
+    # branch is checked first, tightening its own copy of the weight bounds
+    p, g, steps = walk
+    counter = FactorCounter(p, g)
+    counter.count()
+    for e, branch in steps:
+        child, sibling = counter.without_edge(e), counter
+        for f in branch:
+            if f != e and sibling.host.has_edge(f):
+                sibling = sibling.without_edge(f)
+                _matches_fresh(sibling)
+        _matches_fresh(counter)
+        counter = child
+    _matches_fresh(counter)
 
 
 # The deletion guard's bounded search for max_B count(full - B), carried with the

@@ -231,6 +231,14 @@ def test_concentration_deterministic_at_p_one():
     assert rep["empirical_sd"] == 0.0
 
 
+def test_concentration_zero_expectation_at_p_zero():
+    # every host is empty, so each value is 0 and none counts as a tail event
+    f = triangles_at(0, n=7, collapse=False)
+    rep = concentration_trial(f, 0.0, 20, eps=0.25, seed=3)
+    assert rep["expectation"] == 0.0
+    assert rep["empirical_mean"] == rep["exceed_fraction"] == 0.0
+
+
 def test_concentration_triangles_calibrated():
     # 2000-trial calibration at these parameters: exceedance 0.122 at
     # eps=0.5 (anchored-vertex degree noise dominates) and 0.0045 at eps=1

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from hfactor.errors import InputError, InvariantError
+from hfactor.errors import InputError, InvariantError, NoFactorError
 from hfactor.factor import FactorCounter
-from hfactor.host import complete_host, sample_gnp, total_edges
+from hfactor.host import complete_host, host_from_edges, sample_gnp, total_edges
 from hfactor.pattern import (
     complete_pattern,
     cycle_pattern,
@@ -128,6 +128,8 @@ def test_martingale_step_examples():
     g = complete_host(2, 4).without_edge((0, 1))
     left, right = verify_martingale_step(K2, g)
     assert left == right == Fraction(2, 5)
+    with pytest.raises(NoFactorError, match="no factor"):
+        verify_martingale_step(K2, host_from_edges(2, 4, [(1, 2), (1, 3), (2, 3)]))  # 0 isolated
 
 
 def test_martingale_step_random_battery():

@@ -113,6 +113,9 @@ def test_scan_validation():
         threshold_scan(K2, [12], trials=0, seed=0)
     with pytest.raises(InputError):
         threshold_scan(K2, [30], trials=10, seed=0)
+    for target in (0.0, 1.0, math.nan):
+        with pytest.raises(InputError, match="target must be strictly between 0 and 1"):
+            threshold_scan(K2, [12], trials=10, target=target, seed=0)
 
 
 def test_scan_checks_every_n_before_sampling(monkeypatch):
